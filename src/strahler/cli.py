@@ -87,6 +87,16 @@ def _parse_grid(text: str) -> list:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _engine(args) -> ExpectationEngine:
     exact_limit = args.max_n if args.max_n else DEFAULT_EXACT_LIMIT
     enum_limit = max(DEFAULT_ENUMERATION_LIMIT, args.max_n or 0)
@@ -363,11 +373,13 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, with_f=True, with_sampling=False):
-    sub.add_argument("--n", type=int, help="single magnitude")
+    sub.add_argument("--n", type=_positive_int, help="single magnitude")
     sub.add_argument(
         "--n-grid", type=_parse_grid, help="comma-separated ascending magnitudes"
     )
-    sub.add_argument("--r", type=int, default=1, help="base branch order (default 1)")
+    sub.add_argument(
+        "--r", type=_positive_int, default=1, help="base branch order (default 1)"
+    )
     if with_f:
         sub.add_argument("--f", default="S1", help='observable, e.g. "S2/S1"')
     sub.add_argument(
@@ -383,7 +395,7 @@ def _add_common(sub, with_f=True, with_sampling=False):
     )
     if with_sampling:
         sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--trials", type=int, default=10000)
+        sub.add_argument("--trials", type=_positive_int, default=10000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify", help="run the acceptance checks")
     verify.add_argument("--max-n", type=int, help="clamp all magnitude grids")
     verify.add_argument(
-        "--trials", type=int, default=verification.SAMPLER_TRIALS,
+        "--trials", type=_positive_int, default=verification.SAMPLER_TRIALS,
         help="sampler trials (default 100000)",
     )
     verify.add_argument("--out", help="JSON summary path (default stdout)")

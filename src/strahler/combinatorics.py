@@ -32,6 +32,13 @@ def catalan(i: int) -> int:
     return _catalan_cache[i]
 
 
+def catalans(n: int) -> tuple:
+    """The first n Catalan numbers (c_0, ..., c_{n-1}), for indexing in hot loops."""
+    if n > 0:
+        catalan(n - 1)
+    return tuple(_catalan_cache[:n])
+
+
 def multiplicity(n: int, m: int) -> int:
     """Number of magnitude-n trees that collapse onto one fixed magnitude-m tree.
 

@@ -28,6 +28,15 @@ from typing import Sequence, Tuple
 # ("^", base, uint). Immutable, hashable, cheap to compare.
 Node = tuple
 
+# Bound on both the height of an expression's tree and the nesting of its
+# parentheses. The parser recurses about 4 frames per open group and every
+# pass over the tree 1 frame per level, so this keeps all of them far inside
+# the interpreter's recursion limit. The two share one bound because
+# canonical text parenthesises every binary node, nesting as deep as its
+# tree is high: a flat sum of more than MAX_DEPTH terms is rejected too,
+# and every accepted expression's canonical text reparses.
+MAX_DEPTH = 100
+
 
 class ObservableSyntaxError(ValueError):
     """Unparseable observable text; ``position`` is the first bad byte offset."""
@@ -45,6 +54,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open_groups = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -64,49 +74,75 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
 
-def _parse_expr(s: _Scanner) -> Node:
-    node = _parse_term(s)
+def _too_deep(position: int) -> ObservableSyntaxError:
+    return ObservableSyntaxError(
+        f"expression nested deeper than {MAX_DEPTH} levels", position
+    )
+
+
+# Each parser returns (node, height), the height of its tree (a variable
+# or literal has height 1).
+
+
+def _parse_expr(s: _Scanner) -> Tuple[Node, int]:
+    node, height = _parse_term(s)
     while s.peek() in ("+", "-"):
-        op = s.text[s.pos]
+        op_pos = s.pos
         s.pos += 1
-        node = (op, node, _parse_term(s))
-    return node
+        right, right_height = _parse_term(s)
+        node = (s.text[op_pos], node, right)
+        height = max(height, right_height) + 1
+        if height > MAX_DEPTH:
+            raise _too_deep(op_pos)
+    return node, height
 
 
-def _parse_term(s: _Scanner) -> Node:
-    node = _parse_factor(s)
+def _parse_term(s: _Scanner) -> Tuple[Node, int]:
+    node, height = _parse_factor(s)
     while s.peek() in ("*", "/"):
-        op = s.text[s.pos]
+        op_pos = s.pos
         s.pos += 1
-        node = (op, node, _parse_factor(s))
-    return node
+        right, right_height = _parse_factor(s)
+        node = (s.text[op_pos], node, right)
+        height = max(height, right_height) + 1
+        if height > MAX_DEPTH:
+            raise _too_deep(op_pos)
+    return node, height
 
 
-def _parse_factor(s: _Scanner) -> Node:
-    node = _parse_base(s)
+def _parse_factor(s: _Scanner) -> Tuple[Node, int]:
+    node, height = _parse_base(s)
     if s.peek() == "^":
+        if height >= MAX_DEPTH:
+            raise _too_deep(s.pos)
         s.pos += 1
-        node = ("^", node, s.take_uint())
-    return node
+        return ("^", node, s.take_uint()), height + 1
+    return node, height
 
 
-def _parse_base(s: _Scanner) -> Node:
+def _parse_base(s: _Scanner) -> Tuple[Node, int]:
     c = s.peek()
     if c == "S":
         s.pos += 1
         j = s.take_uint()
         if j < 1:
             raise ObservableSyntaxError("variable index must be >= 1", s.pos - 1)
-        return ("var", j)
+        return ("var", j), 1
     if c.isdigit():
-        return ("lit", s.take_uint())
+        return ("lit", s.take_uint()), 1
     if c == "(":
+        # The parser recurses once per open group, so this is checked on
+        # the way down; a group adds no tree node, hence no height.
+        s.open_groups += 1
+        if s.open_groups > MAX_DEPTH:
+            raise _too_deep(s.pos)
         s.pos += 1
-        node = _parse_expr(s)
+        node, height = _parse_expr(s)
         if s.peek() != ")":
             raise ObservableSyntaxError("expected ')'", s.pos)
         s.pos += 1
-        return node
+        s.open_groups -= 1
+        return node, height
     if c == "":
         raise ObservableSyntaxError("unexpected end of expression", s.pos)
     raise ObservableSyntaxError(f"unexpected character {c!r}", s.pos)
@@ -313,7 +349,7 @@ def parse(text: str) -> Observable:
         if ord(ch) > 127:
             raise ObservableSyntaxError(f"non-ASCII character {ch!r}", i)
     s = _Scanner(text)
-    ast = _parse_expr(s)
+    ast, _height = _parse_expr(s)
     s.skip_ws()
     if s.pos != len(text):
         raise ObservableSyntaxError("trailing characters after expression", s.pos)

@@ -17,12 +17,13 @@ generator whose single bulk draw supplies all insertion choices. Streams
 are therefore splittable per trial, and any parallel or chunked execution
 reproduces the serial result bit for bit.
 
-The growth kernel works on flat parent/order/child arrays and maintains
+The growth kernel works on flat parent/order/child lists and maintains
 Horton-Strahler orders incrementally: grafting above a leaf bumps that
 spot to order two, which cascades upward only while each parent's other
-child matches the bumped order exactly. The kernel is plain scalar code
-over numpy arrays, so numba JIT-compiles it when available (roughly a
-15x throughput gain); without numba the same function runs as-is.
+child matches the bumped order exactly. It is plain CPython over Python
+lists and ints: numpy supplies only the bulk choice draw, since indexing
+numpy arrays one scalar at a time is several times slower than list
+indexing.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -88,29 +89,28 @@ def _child_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _growth_choices(n: int, seed: int) -> np.ndarray:
+def _growth_choices(n: int, seed: int) -> list:
     """The n-1 insertion choices of one growth run; step k is uniform on [0, 4k-2)."""
     highs = 4 * np.arange(1, n) - 2
-    return np.random.default_rng(seed).integers(0, highs)
+    return np.random.default_rng(seed).integers(0, highs).tolist()
 
 
-def _grow(choices: np.ndarray, size: int):
-    """Growth kernel: returns (parent, order, left, right, head counts).
+def _grow(choices: list, size: int):
+    """Growth kernel: returns (parent, left, right, head counts) as lists.
 
     Node ids follow creation order: step k adds internal node 2k-1 and leaf
     2k; the root is whichever node ends with parent -1. ``counts[o]`` is
     the number of order-o branch heads (nodes whose parent is absent or of
     a different order).
     """
-    parent = np.full(size, -1, np.int32)
-    order = np.ones(size, np.int32)
-    left = np.full(size, -1, np.int32)
-    right = np.full(size, -1, np.int32)
+    parent = [-1] * size
+    order = [1] * size
+    left = [-1] * size
+    right = [-1] * size
     w = -1
     leaf = 0
-    for idx in range(choices.shape[0]):
-        x = choices[idx]
-        v = np.int32(x >> 1)
+    for x in choices:
+        v = x >> 1
         w += 2
         leaf += 2
         p = parent[v]
@@ -150,49 +150,38 @@ def _grow(choices: np.ndarray, size: int):
                 break
             order[q] = new
             cur = q
-    counts = np.zeros(_MAX_ORDER, np.int64)
-    for i in range(size):
-        o = order[i]
-        p = parent[i]
+    counts = [0] * _MAX_ORDER
+    for o, p in zip(order, parent):
         if p < 0 or order[p] != o:
             counts[o] += 1
-    return parent, order, left, right, counts
-
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _grow = njit(cache=True)(_grow)
-except ImportError:  # pure-Python kernel works, just slower
-    pass
+    return parent, left, right, counts
 
 
 def _grown_profile(n: int, seed: int):
     """(profile, parent, left, right) of one grown tree."""
-    choices = _growth_choices(n, seed)
-    parent, order, left, right, counts = _grow(choices, 2 * n - 1)
-    profile = counts[1:].tolist()
+    parent, left, right, counts = _grow(_growth_choices(n, seed), 2 * n - 1)
+    profile = counts[1:]
     while profile and profile[-1] == 0:
         profile.pop()
     return trees_mod.BranchProfile(tuple(profile)), parent, left, right
 
 
-def _tree_from_arrays(left, right, root) -> trees_mod.Tree:
+def _tree_from_arrays(left: list, right: list, root: int) -> trees_mod.Tree:
     # Iterative post-order assembly; children always resolve first.
     out = [root]
     i = 0
     while i < len(out):
         v = out[i]
         if left[v] >= 0:
-            out.append(int(left[v]))
-            out.append(int(right[v]))
+            out.append(left[v])
+            out.append(right[v])
         i += 1
     built: dict[int, trees_mod.Tree] = {}
     for v in reversed(out):
         if left[v] < 0:
             built[v] = trees_mod.LEAF
         else:
-            built[v] = (built[int(left[v])], built[int(right[v])])
+            built[v] = (built[left[v]], built[right[v]])
     return built[root]
 
 
@@ -206,8 +195,7 @@ def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
         rank = random.Random(seed).randrange(catalan(n - 1))
         return trees_mod.unrank_tree(n, rank)
     _profile, parent, left, right = _grown_profile(n, seed)
-    root = int(np.flatnonzero(parent < 0)[0])
-    return _tree_from_arrays(left, right, root)
+    return _tree_from_arrays(left, right, parent.index(-1))
 
 
 def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:

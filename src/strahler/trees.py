@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional, Tuple
 
-from .combinatorics import catalan
+from .combinatorics import catalans
 
 Tree = Optional[tuple]
 LEAF: Tree = None
@@ -194,21 +194,64 @@ def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[
                 yield (l, r)
 
 
+# Subtrees up to this magnitude are looked up in the enumeration table
+# (626 shapes); larger ones split by scanning the blocks.
+_UNRANK_TABLE_LIMIT = 8
+
+_SPLIT = object()  # pre-order marker: an internal node awaiting its two subtrees
+
+
+def _scan_blocks(c: tuple, m: int, rank: int) -> Tuple[int, int]:
+    """(left magnitude j, rank within block j) by a scan from the nearer end.
+
+    ``c`` holds the Catalan numbers c_0 .. c_{m-1}. Block j holds
+    c_{j-1} c_{m-j-1} trees: symmetric in j <-> m-j and shrinking about 4x
+    per step away from either end, so a uniform rank is found in O(1)
+    steps on average and each caterpillar level in one.
+    """
+    total = c[m - 1]
+    if 2 * rank < total:
+        j, step = 1, 1
+    else:
+        j, step, rank = m - 1, -1, total - 1 - rank
+    while True:
+        block = c[j - 1] * c[m - j - 1]
+        if rank < block:
+            return j, (rank if step == 1 else block - 1 - rank)
+        rank -= block
+        j += step
+
+
 def unrank_tree(n: int, rank: int) -> Tree:
     """Tree at position ``rank`` of the canonical enumeration of magnitude n."""
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
-    if not 0 <= rank < catalan(n - 1):
+    c = catalans(n)
+    if not 0 <= rank < c[n - 1]:
         raise ValueError(f"rank {rank} out of range for magnitude {n}")
-    if n == 1:
-        return LEAF
-    for j in range(1, n):
-        block = catalan(j - 1) * catalan(n - j - 1)
-        if rank < block:
-            left_rank, right_rank = divmod(rank, catalan(n - j - 1))
-            return (unrank_tree(j, left_rank), unrank_tree(n - j, right_rank))
-        rank -= block
-    raise AssertionError("unreachable: rank exhausted the Catalan total")
+    _all_trees(min(n, _UNRANK_TABLE_LIMIT))  # fills _tree_lists for the lookups
+    # Descend in pre-order with an explicit stack, then fold the reversed
+    # pre-order list: each marker joins the two subtrees built just before.
+    preorder = []
+    stack = [(n, rank)]
+    while stack:
+        m, r = stack.pop()
+        if m <= _UNRANK_TABLE_LIMIT:
+            preorder.append(_tree_lists[m][r])
+            continue
+        j, r = _scan_blocks(c, m, r)
+        left_rank, right_rank = divmod(r, c[m - j - 1])
+        preorder.append(_SPLIT)
+        stack.append((m - j, right_rank))
+        stack.append((j, left_rank))
+    built: list = []
+    for item in reversed(preorder):
+        if item is _SPLIT:
+            left = built.pop()
+            built.append((left, built.pop()))
+        else:
+            built.append(item)
+    return built[0]
 
 
 # --- text codec -------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_exit_code_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(capsys, "expect", "--n-grid", "5,4")
     assert excinfo.value.code == 2
+    for argv in (
+        ["expect", "--n", "0"],
+        ["expect", "--n", "5", "--r", "0"],
+        ["sample", "--n", "5", "--trials", "0"],
+        ["sample", "--n", "0"],
+        ["verify", "--trials", "0"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, *argv)
+        assert excinfo.value.code == 2, argv
+    deep = "(" * 3000 + "S1" + ")" * 3000
+    code, _, err = run_cli(capsys, "expect", "--n", "5", "--f", deep)
+    assert code == 2
+    assert "offset 100" in err
 
 
 def test_exit_code_resource_limit(capsys):

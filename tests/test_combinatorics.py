@@ -9,6 +9,8 @@ from strahler import combinatorics as comb
 @pytest.mark.parametrize("i,value", [(0, 1), (1, 1), (4, 14), (5, 42), (13, 742900)])
 def test_catalan_values(i, value):
     assert comb.catalan(i) == value
+    assert comb.catalans(i + 1)[i] == value
+    assert comb.catalans(i) == tuple(comb.catalan(k) for k in range(i))
 
 
 def test_catalan_rejects_negative():

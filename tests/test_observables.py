@@ -130,3 +130,29 @@ def test_rational_coeffs_single_variable_only():
     num, den = obs.parse("(S1-1)/(2*(2*S1-3))").rational_coeffs()
     assert num == [Fraction(-1), Fraction(1)]
     assert den == [Fraction(-6), Fraction(4)]
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("(" * 3000 + "S1" + ")" * 3000, obs.MAX_DEPTH),  # the first group too many
+        ("+".join(["S1"] * 20000), 3 * obs.MAX_DEPTH - 1),  # the operator too many
+    ],
+)
+def test_too_deep_expressions_rejected_with_offset(text, position):
+    with pytest.raises(obs.ObservableSyntaxError) as excinfo:
+        obs.parse(text)
+    assert excinfo.value.position == position
+    assert "deeper than" in str(excinfo.value)
+
+
+def test_fifty_deep_expressions_parse():
+    nested = obs.parse("(" * 50 + "S1" + ")" * 50)
+    assert nested.evaluate((3,)) == 3
+    flat = obs.parse("+".join(["S1"] * 50))
+    assert flat.evaluate((2,)) == 100
+    mixed = "S1"
+    for i in range(50):
+        mixed = f"({mixed}+1)*S1" if i % 2 else f"({mixed})^1"
+    for f in (flat, obs.parse(mixed)):
+        assert obs.parse(f.text) == f  # canonical text stays within the bound

@@ -1,6 +1,6 @@
+import hashlib
 from collections import Counter
 
-import numpy as np
 import pytest
 from scipy import stats
 
@@ -32,7 +32,7 @@ def test_growth_kernel_matches_tree_core_branch_counts():
     for n in (2, 3, 5, 8, 30, 70, 150, 400):
         for seed in range(20):
             profile, parent, left, right = sampling._grown_profile(n, seed * 31 + n)
-            root = int(np.flatnonzero(parent < 0)[0])
+            root = parent.index(-1)
             t = sampling._tree_from_arrays(left, right, root)
             assert trees.branch_counts(t) == profile
 
@@ -60,7 +60,7 @@ def test_growth_path_uniformity_chi_square():
         profile, parent, left, right = sampling._grown_profile(
             5, sampling._child_seed(3, i)
         )
-        root = int(np.flatnonzero(parent < 0)[0])
+        root = parent.index(-1)
         tally[sampling._tree_from_arrays(left, right, root)] += 1
     observed = [tally.get(t, 0) for t in shapes]
     _stat, p = stats.chisquare(observed)
@@ -124,6 +124,49 @@ def test_monte_carlo_rejects_undefined_observable():
     with pytest.raises(sampling.ProfileEvaluationError) as excinfo:
         sampling.monte_carlo(cfg)
     assert excinfo.value.window == (1, 0)
+
+
+# Seeded streams recorded with the numpy-array growth kernel and the
+# recursive unranking; both sampling paths must keep reproducing them.
+PINNED_PROFILES = [
+    (6, 0, 0, (6, 1)),
+    (6, 42, 7, (6, 2, 1)),
+    (48, 1, 3, (48, 13, 3, 1)),
+    (48, 42, 0, (48, 14, 4, 2, 1)),
+    (65, 5, 2, (65, 17, 4, 2, 1)),
+    (65, 42, 11, (65, 13, 4, 1)),
+    (1000, 42, 0, (1000, 257, 66, 13, 3, 1)),
+    (1000, 7, 19, (1000, 246, 64, 15, 4, 1)),
+    (4000, 42, 1, (4000, 985, 246, 58, 17, 3, 1)),
+    (4000, 3, 5, (4000, 1003, 257, 62, 14, 4, 1)),
+]
+
+# SHA-256 of trees.encode(sample_uniform(n, seed)).
+PINNED_TREES = [
+    (48, 0, "64a0a1e60e7b3de25e05786cd6bdb78e8dc550a30a096eed0174938720f7d7aa"),
+    (48, 2024, "deec68fead95bb2787151bdb25901d93fd11b3ce61881c9b329ca9b8dabd5231"),
+    (130, 7, "0866b341bed4f302a6142646211c4958642cd0520fb1f8cddc8a10732196edac"),
+    (130, 99, "aa632917e7e3674891b9070bad0f9c3f1538d6135763bb2cba3038e7161f186b"),
+]
+
+
+@pytest.mark.parametrize("n,seed,trial,counts", PINNED_PROFILES)
+def test_sampled_profile_stream_is_pinned(n, seed, trial, counts):
+    profile = sampling._sampled_profile(n, sampling._child_seed(seed, trial))
+    assert profile.counts == counts
+
+
+@pytest.mark.parametrize("n,seed,digest", PINNED_TREES)
+def test_sample_uniform_tree_is_pinned(n, seed, digest):
+    text = trees.encode(sampling.sample_uniform(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_monte_carlo_result_is_pinned():
+    cfg = sampling.SampleConfig(n=1000, trials=50, seed=42, f=S1, r=2)
+    assert sampling.monte_carlo(cfg) == sampling.MonteCarloResult(
+        250.1, 1.0929271686248665, 50
+    )
 
 
 def test_config_validation():

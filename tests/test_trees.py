@@ -81,9 +81,36 @@ def test_enumeration_limit_guard():
 
 
 def test_unrank_matches_enumeration_order():
-    for n in range(1, 9):
+    # Magnitudes 9 and up split by the block scan instead of the shape table;
+    # 9 and 10 run every rank, so every block from either end.
+    for n in range(1, 11):
         for i, t in enumerate(trees.enumerate_trees(n)):
             assert trees.unrank_tree(n, i) == t
+    for n in (11, 12):
+        for i, t in enumerate(trees.enumerate_trees(n)):
+            if i % 97 == 0:
+                assert trees.unrank_tree(n, i) == t
+
+
+def _spine(t, side):
+    """Length of the path that always steps to child ``side``."""
+    length = 0
+    while t is not None:
+        other = t[1 - side]
+        assert other is None, "off-spine subtree is not a leaf"
+        t = t[side]
+        length += 1
+    return length
+
+
+def test_unrank_extreme_ranks_give_deep_caterpillars():
+    n = 1500
+    first = trees.unrank_tree(n, 0)
+    last = trees.unrank_tree(n, comb.catalan(n - 1) - 1)
+    # Rank 0 keeps a leaf on the left at every level, the last rank on the right.
+    assert _spine(first, 1) == n - 1
+    assert _spine(last, 0) == n - 1
+    assert trees.magnitude(first) == trees.magnitude(last) == n
 
 
 def test_unrank_rejects_out_of_range():
