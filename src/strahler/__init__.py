@@ -7,6 +7,7 @@ bifurcation ratios.
 
 from .asymptotics import (
     AsymptoticCoeffs,
+    ExpansionError,
     OrderCoeffs,
     coeff_recursion,
     convergence_report,

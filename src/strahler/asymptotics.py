@@ -32,6 +32,10 @@ from .expectations import ExpectationEngine
 from .observables import Observable
 
 
+class ExpansionError(ValueError):
+    """The observable has no expansion of the assumed form (zero leading term)."""
+
+
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
     """Initial expansion data (k, a1, b1) held at base order r0."""
@@ -43,7 +47,7 @@ class AsymptoticCoeffs:
 
     def __post_init__(self):
         if self.a1 == 0:
-            raise ValueError("leading coefficient a1 must be nonzero")
+            raise ExpansionError("leading coefficient a1 must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ def laurent_at_infinity(f: Observable) -> AsymptoticCoeffs:
     while len(den) > 1 and den[-1] == 0:
         den.pop()
     if num == [0]:
-        raise ValueError("zero numerator polynomial has no Laurent expansion")
+        raise ExpansionError("zero numerator polynomial has no Laurent expansion")
     k = (len(num) - 1) - (len(den) - 1)
     a_hi = num[-1]
     a_next = num[-2] if len(num) >= 2 else Fraction(0)
@@ -170,7 +174,7 @@ def fit_initial_coeffs(
     v1, v2 = float(values[-2]), float(values[-1])
     n1, n2 = ns[-2], ns[-1]
     if v1 == 0 or v2 == 0:
-        raise ValueError("zero expectation; cannot fit a power law")
+        raise ExpansionError("zero expectation; cannot fit a power law")
     k = round(math.log(abs(v2 / v1)) / math.log(n2 / n1))
     # Solve a1*n^k + b1*n^(k-1) = value at the two largest points.
     e1, e2 = values[-2], values[-1]

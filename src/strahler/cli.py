@@ -29,7 +29,11 @@ from .expectations import (
     ExpectationEngine,
     LimitExceededError,
 )
-from .observables import ObservableSyntaxError, parse as parse_observable
+from .observables import (
+    NonzeroOverZeroError,
+    ObservableSyntaxError,
+    parse as parse_observable,
+)
 from .trees import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError
 
 EXIT_OK = 0
@@ -145,9 +149,13 @@ def cmd_expect(args) -> int:
 def _ratio_init(engine, f, args):
     if f.arity == 1:
         return asym.laurent_at_infinity(f)
-    fit_ns = [min(120, engine.exact_limit), min(200, engine.exact_limit),
-              min(300, engine.exact_limit)]
-    return asym.fit_initial_coeffs(engine, f, sorted(set(fit_ns)))
+    fit_ns = sorted({min(n, engine.exact_limit) for n in (120, 200, 300)})
+    if len(fit_ns) < 2:
+        raise _UsageError(
+            f"fitting {f.text} needs exact values at two magnitudes; "
+            f"--max-n {engine.exact_limit} leaves one (use at least 121)"
+        )
+    return asym.fit_initial_coeffs(engine, f, fit_ns)
 
 
 def cmd_ratio(args) -> int:
@@ -391,7 +399,9 @@ def _add_common(sub, with_f=True, with_sampling=False):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument(
-        "--max-n", type=int, help="raise/lower the exact and enumeration ceilings"
+        "--max-n",
+        type=_positive_int,
+        help="raise/lower the exact and enumeration ceilings",
     )
     if with_sampling:
         sub.add_argument("--seed", type=int, default=42)
@@ -432,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     asympt.set_defaults(func=cmd_asympt)
 
     verify = subparsers.add_parser("verify", help="run the acceptance checks")
-    verify.add_argument("--max-n", type=int, help="clamp all magnitude grids")
+    verify.add_argument(
+        "--max-n", type=_positive_int, help="clamp all magnitude grids"
+    )
     verify.add_argument(
         "--trials", type=_positive_int, default=verification.SAMPLER_TRIALS,
         help="sampler trials (default 100000)",
@@ -454,10 +466,12 @@ def main(argv=None) -> int:
     except (LimitExceededError, EnumerationLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LIMIT
-    except DegenerateRatioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-    except sampling.ProfileEvaluationError as err:
+    except (
+        DegenerateRatioError,
+        NonzeroOverZeroError,
+        asym.ExpansionError,
+        sampling.ProfileEvaluationError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator, Tuple
+
+import numpy as np
+from scipy.special import gammaln
 
 _LOG2 = math.log(2.0)
 
@@ -53,33 +57,50 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(n - 2, q) << q
 
 
+def multiplicities(n: int) -> Iterator[Tuple[int, int]]:
+    """(m, multiplicity(n, m)) over 1 <= m <= n//2, in ascending m.
+
+    Each entry follows from the one before it, q = n - 2m going down by
+    two, by the ratio of consecutive terms: one small multiply and one
+    exact divide per entry instead of a fresh binomial.
+    """
+    q = n - 2
+    mu = 1 << q
+    for m in range(1, n // 2 + 1):
+        yield m, mu
+        mu = mu * q * (q - 1) // (4 * (n - q) * (n - q - 1))
+        q -= 2
+
+
 def class_size(n: int, m: int) -> int:
     """Number of magnitude-n trees whose second-order branch count is m."""
     mu = multiplicity(n, m)
     return mu * catalan(m - 1) if mu else 0
 
 
-def log_weight(n: int, m: int) -> float:
-    """Natural log of the magnitude weight w(n, m), via log-gamma.
+def float_weight_row(n: int) -> list:
+    """(m, w(n, m)) pairs over 1 <= m <= n//2 in ascending m, via log-gamma.
 
     w(n, m) = class_size(n, m) / catalan(n-1), the probability that a uniform
-    magnitude-n tree has m second-order branches. Relative error is a small
-    multiple of the largest lgamma magnitude times machine epsilon (within
-    1e-12 for n up to a few hundred).
+    magnitude-n tree has m second-order branches. The whole row is one
+    vectorised log-gamma expression, so deep float sweeps are not dominated
+    by weight set-up. Relative error is a small multiple of the largest
+    lgamma magnitude times machine epsilon (within 1e-12 for n up to a few
+    hundred).
     """
-    q = n - 2 * m
-    if m < 1 or q < 0:
-        return -math.inf
-    return (
+    ms = np.arange(1, n // 2 + 1)
+    qs = n - 2 * ms
+    logs = (
         math.lgamma(n - 1)
-        + q * _LOG2
-        - math.lgamma(q + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(m)
+        + qs * _LOG2
+        - gammaln(qs + 1)
+        - gammaln(ms + 1)
+        - gammaln(ms)
         + math.lgamma(n + 1)
         + math.lgamma(n)
         - math.lgamma(2 * n - 1)
     )
+    return list(zip(ms.tolist(), np.exp(logs).tolist()))
 
 
 def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[int, float]:
@@ -94,5 +115,5 @@ def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[in
         total = catalan(n - 1)
         return {m: Fraction(class_size(n, m), total) for m in range(1, n // 2 + 1)}
     if mode == "float":
-        return {m: math.exp(log_weight(n, m)) for m in range(1, n // 2 + 1)}
+        return dict(float_weight_row(n))
     raise ValueError(f"unknown weight mode {mode!r}")

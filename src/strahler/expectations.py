@@ -5,21 +5,29 @@ The engine evaluates E_n[f(S_r, ..., S_{r+p-1})] three ways:
 * ``expectation_bruteforce`` enumerates every magnitude-n shape and averages
   f over the branch profiles with equal weight. This is the independent
   oracle; it shares nothing with the recursive path below.
-* ``expectation_exact`` descends the magnitude recursion: an expectation at
-  base order r over magnitude n is the weight-mixture of expectations at
-  base order r-1 over the image magnitudes m <= n/2. The r=1 base case
-  evaluates f directly when it has one variable, and otherwise pins the
-  first variable to n and recurses on the remainder one order up. Exact
-  rational arithmetic throughout.
-* ``expectation_float`` runs the same recursion with log-gamma weights and
-  returns a first-order relative-error bound alongside the value.
+* ``expectation_exact`` works in the counting domain. It descends the
+  magnitude recursion on T_r(n) = c_{n-1} E_n[f at base r], the sum of f
+  over all c_{n-1} magnitude-n shapes: T_r(n) = sum over m <= n/2 of
+  multiplicity(n, m) T_{r-1}(m), because exactly multiplicity(n, m) trees
+  collapse onto each magnitude-m tree. The r=1 base case is c_{n-1} f(n)
+  when f has one variable, and otherwise pins the first variable to n and
+  recurses on the remainder one order up. Every term is an integer when f
+  is integer-valued (a rational observable such as S2/S1 carries Fractions
+  only in its values), so the one division, T / c_{n-1}, happens once per
+  answer.
+* ``expectation_float`` runs the probability form of the recursion,
+  E_r(n) = sum of w(n, m) E_{r-1}(m) with log-gamma weights w(n, m) =
+  multiplicity(n, m) c_{m-1} / c_{n-1}, and returns a first-order
+  relative-error bound alongside the value.
 
-Distributions of single branch counts, f-bifurcation ratios, and variances
-are built on top. Memoisation keys include the canonical printed form of
-the (possibly rebound) observable, so results are independent of call
-order; fills are idempotent, which keeps concurrent use safe under the
-usual dict atomicity. Float summations always run in ascending image
-magnitude for reproducibility.
+Distributions of single branch counts follow the same two forms: exact
+tables are integer counts N_r(n, s) = sum of multiplicity(n, m) N_{r-1}(m, s),
+divided by c_{n-1} once per table. f-bifurcation ratios and variances are
+built on top. Memoisation keys include the canonical printed form of the
+(possibly rebound) observable, so results are independent of call order;
+fills are idempotent, which keeps concurrent use safe under the usual dict
+atomicity. Float summations always run in ascending image magnitude for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -31,14 +39,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-from scipy.special import gammaln
-
 from . import combinatorics as comb
 from . import trees as trees_mod
 from .observables import Observable, parse as _parse
-
-_LOG2 = math.log(2.0)
 
 DEFAULT_EXACT_LIMIT = 300
 _EPS = sys.float_info.epsilon
@@ -73,7 +76,7 @@ class ExpectationEngine:
         self.enumeration_limit = enumeration_limit
         self.exact_limit = exact_limit
         self._profiles: dict[int, Counter] = {}
-        self._exact_memo: dict = {}
+        self._count_memo: dict = {}
         self._float_memo: dict = {}
         self._dist_memo: dict = {}
         self._float_weight_rows: dict[int, list] = {}
@@ -111,29 +114,28 @@ class ExpectationEngine:
             raise LimitExceededError(
                 f"magnitude {n} exceeds the exact-mode limit {self.exact_limit}"
             )
-        return self._exact(n, r, f)
+        return Fraction(self._count(n, r, f), comb.catalan(n - 1))
 
-    def _exact(self, n: int, r: int, f: Observable) -> Fraction:
+    def _count(self, n: int, r: int, f: Observable):
+        """T_r(n) = c_{n-1} E_n[f at base r]; an int whenever f is integer-valued."""
         key = (n, r, f.text)
-        hit = self._exact_memo.get(key)
+        hit = self._count_memo.get(key)
         if hit is not None:
             return hit
         if n == 1:
             # Single leaf: the profile is (1,); everything above order 1 is 0.
             window = trees_mod.BranchProfile((1,)).window(r, f.arity)
-            value = f.evaluate(window)
-        elif r == 1:
-            if f.arity == 1:
-                value = f.evaluate((n,))
-            else:
-                g = f.bind_first(n)
-                weights = comb.order2_weights(n, "exact")
-                value = sum(w * self._exact(m, 1, g) for m, w in weights.items())
+            total = _integral(f.evaluate(window))
+        elif r == 1 and f.arity == 1:
+            total = comb.catalan(n - 1) * _integral(f.evaluate((n,)))
         else:
-            weights = comb.order2_weights(n, "exact")
-            value = sum(w * self._exact(m, r - 1, f) for m, w in weights.items())
-        self._exact_memo[key] = value
-        return value
+            g = f.bind_first(n) if r == 1 else f
+            sub_order = 1 if r == 1 else r - 1
+            total = sum(
+                mu * self._count(m, sub_order, g) for m, mu in comb.multiplicities(n)
+            )
+        self._count_memo[key] = total
+        return total
 
     # -- float recursion --------------------------------------------------------
 
@@ -141,21 +143,7 @@ class ExpectationEngine:
         """Rows of (m, w) pairs in ascending m; summation order is fixed."""
         row = self._float_weight_rows.get(n)
         if row is None:
-            # Vectorised log-gamma keeps deep DP sweeps (all image magnitudes
-            # below n/2, recursively) from being dominated by weight setup.
-            ms = np.arange(1, n // 2 + 1)
-            qs = n - 2 * ms
-            logs = (
-                math.lgamma(n - 1)
-                + qs * _LOG2
-                - gammaln(qs + 1)
-                - gammaln(ms + 1)
-                - gammaln(ms)
-                + math.lgamma(n + 1)
-                + math.lgamma(n)
-                - math.lgamma(2 * n - 1)
-            )
-            row = list(zip(ms.tolist(), np.exp(logs).tolist()))
+            row = comb.float_weight_row(n)
             self._float_weight_rows[n] = row
         return row
 
@@ -215,36 +203,35 @@ class ExpectationEngine:
     def distribution(self, n: int, r: int, mode: str = "exact") -> dict:
         """P_n(S_r = s) over the nonzero support, exact or float."""
         _validate_query(n, r)
-        if mode == "exact" and n > self.exact_limit:
-            raise LimitExceededError(
-                f"magnitude {n} exceeds the exact-mode limit {self.exact_limit}"
-            )
-        return self._dist(n, r, mode)
+        if mode == "exact":
+            if n > self.exact_limit:
+                raise LimitExceededError(
+                    f"magnitude {n} exceeds the exact-mode limit {self.exact_limit}"
+                )
+            total = comb.catalan(n - 1)
+            return {s: Fraction(c, total) for s, c in self._dist(n, r, True).items()}
+        return self._dist(n, r, False)
 
-    def _dist(self, n: int, r: int, mode: str) -> dict:
-        key = (n, r, mode)
+    def _dist(self, n: int, r: int, exact: bool) -> dict:
+        """Integer counts N_r(n, s) when exact, else float probabilities."""
+        key = (n, r, exact)
         hit = self._dist_memo.get(key)
         if hit is not None:
             return hit
-        one = Fraction(1) if mode == "exact" else 1.0
         if r == 1:
-            table = {n: one}
+            table = {n: comb.catalan(n - 1) if exact else 1.0}
         elif n == 1:
-            table = {0: one}
-        elif r == 2:
-            if mode == "exact":
-                table = dict(comb.order2_weights(n, "exact"))
-            else:
-                table = dict(self._float_weights(n))
+            table = {0: 1 if exact else 1.0}
+        elif r == 2 and not exact:
+            # The weight row is the table itself; skipping the n/2 child
+            # lookups matters in float sweeps to n = 10^4.
+            table = dict(self._float_weights(n))
         else:
             table = {}
-            if mode == "exact":
-                items = comb.order2_weights(n, "exact").items()
-            else:
-                items = self._float_weights(n)
-            for m, w in items:
-                for s, prob in self._dist(m, r - 1, mode).items():
-                    table[s] = table.get(s, 0) + w * prob
+            rows = comb.multiplicities(n) if exact else self._float_weights(n)
+            for m, w in rows:
+                for s, x in self._dist(m, r - 1, exact).items():
+                    table[s] = table.get(s, 0) + w * x
         self._dist_memo[key] = table
         return table
 
@@ -272,6 +259,11 @@ def _validate_query(n: int, r: int):
         raise ValueError(f"magnitude must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"base order must be >= 1, got {r}")
+
+
+def _integral(value: Fraction):
+    """An integral Fraction as an int, so counting sums skip the gcd."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _weight_rel_error(n: int) -> float:

@@ -90,24 +90,32 @@ def _build(tau: Tree, chain_lengths: tuple, sides: tuple) -> Tree:
     sits above the root). The side word is consumed in post-order of slots,
     top chain link first within each slot; side 0 hangs the chain node's
     leaf on the left. Any fixed consumption order enumerates the same set.
+    Iterative (explicit stack), so bases of any height are safe.
     """
     side_iter = iter(sides)
-    slot = 0
-
-    def rebuild(node: Tree) -> Tree:
-        nonlocal slot
-        length = chain_lengths[slot]
-        slot += 1
-        if node is None:
+    next_slot = 0
+    built: list = []  # finished subtrees, right sibling on top
+    stack: list = [(tau, -1)]  # (node, its slot, or -1 before it has one)
+    while stack:
+        node, slot = stack.pop()
+        if slot < 0:
+            slot = next_slot
+            next_slot += 1
+            if node is not None:
+                # Revisit after both children; the left one is numbered first.
+                stack.append((node, slot))
+                stack.append((node[1], -1))
+                stack.append((node[0], -1))
+                continue
             core: Tree = (LEAF, LEAF)
         else:
-            core = (rebuild(node[0]), rebuild(node[1]))
-        links = [next(side_iter) for _ in range(length)]
+            right = built.pop()
+            core = (built.pop(), right)
+        links = [next(side_iter) for _ in range(chain_lengths[slot])]
         for side in reversed(links):
             core = (LEAF, core) if side == 0 else (core, LEAF)
-        return core
-
-    return rebuild(tau)
+        built.append(core)
+    return built[0]
 
 
 def preimages(tau: Tree, n: int) -> Iterator[Tree]:

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strahler import cli, verification
 
@@ -146,14 +148,69 @@ def test_exit_code_usage_errors(capsys):
         ["sample", "--n", "5", "--trials", "0"],
         ["sample", "--n", "0"],
         ["verify", "--trials", "0"],
+        ["expect", "--n", "5", "--max-n", "-1"],
+        ["expect", "--n", "5", "--max-n", "0"],
+        ["verify", "--max-n", "-1", "--trials", "5"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(capsys, *argv)
         assert excinfo.value.code == 2, argv
+    code, _, err = run_cli(
+        capsys, "ratio", "--n", "5", "--f", "S2/S1", "--max-n", "60"
+    )
+    assert code == 2
+    assert "at least 121" in err
     deep = "(" * 3000 + "S1" + ")" * 3000
     code, _, err = run_cli(capsys, "expect", "--n", "5", "--f", deep)
     assert code == 2
     assert "offset 100" in err
+
+
+def test_exit_code_evaluation_failures(capsys):
+    # 1/S2 divides by zero on the single leaf; S1-S1 has no leading term.
+    code, _, err = run_cli(capsys, "expect", "--n", "1", "--f", "1/S2")
+    assert code == 1
+    assert "/ 0" in err
+    code, _, err = run_cli(capsys, "ratio", "--n", "5", "--f", "S1-S1")
+    assert code == 1
+    assert "Laurent" in err
+
+
+# Valid observables (constant, polynomial, rational, multi-variable, one
+# that divides by zero at some windows, one identically zero) and malformed
+# ones (syntax, variable index, zero divisor, empty).
+FUZZ_OBSERVABLES = (
+    "S1", "S1^2", "S2/S1", "S1*S2-S3", "1", "1/S2", "S1-S1",
+    "S1++", "S0", "(S1", "2/0", "",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(("expect", "ratio", "dist")),
+    magnitudes=st.one_of(
+        st.integers(-3, 40).map(lambda n: ["--n", str(n)]),
+        st.lists(st.integers(-3, 40), min_size=1, max_size=4).map(
+            lambda grid: ["--n-grid", ",".join(map(str, grid))]
+        ),
+    ),
+    r=st.integers(-1, 5),
+    max_n=st.integers(-3, 60),
+    f=st.sampled_from(FUZZ_OBSERVABLES),
+    mode=st.sampled_from(("exact", "float", "auto")),
+)
+def test_cli_fuzz_exit_codes(command, magnitudes, r, max_n, f, mode):
+    argv = [command, *magnitudes, "--r", str(r), "--max-n", str(max_n), "--mode", mode]
+    if command != "dist":
+        argv += ["--f", f]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_exit_code_resource_limit(capsys):

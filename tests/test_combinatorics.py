@@ -25,6 +25,13 @@ def test_multiplicity_examples():
         assert comb.multiplicity(2 * m, m) == 1
 
 
+def test_multiplicities_row_matches_multiplicity():
+    for n in range(2, 120):
+        assert list(comb.multiplicities(n)) == [
+            (m, comb.multiplicity(n, m)) for m in range(1, n // 2 + 1)
+        ]
+
+
 def test_multiplicity_out_of_range_is_zero():
     assert comb.multiplicity(5, 3) == 0
     assert comb.multiplicity(7, 0) == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from strahler import combinatorics as comb
 from strahler import trees
 from strahler.expectations import (
     DegenerateRatioError,
@@ -20,6 +21,92 @@ def engine():
 S1 = parse("S1")
 S1SQ = parse("S1^2")
 RATIO = parse("S2/S1")
+
+
+def _fraction_expectation(n, r, f, memo):
+    """Reference: the probability-domain recursion in Fractions, one exact
+    weight row w(n, m) = class_size(n, m) / c_{n-1} per step."""
+    key = (n, r, f.text)
+    if key not in memo:
+        if n == 1:
+            value = f.evaluate(trees.BranchProfile((1,)).window(r, f.arity))
+        elif r == 1 and f.arity == 1:
+            value = f.evaluate((n,))
+        else:
+            g = f.bind_first(n) if r == 1 else f
+            sub_order = 1 if r == 1 else r - 1
+            value = sum(
+                w * _fraction_expectation(m, sub_order, g, memo)
+                for m, w in comb.order2_weights(n, "exact").items()
+            )
+        memo[key] = value
+    return memo[key]
+
+
+def _fraction_distribution(n, r, memo):
+    """Reference: P_n(S_r = s) as a Fraction mixture over exact weight rows."""
+    key = (n, r)
+    if key not in memo:
+        if r == 1:
+            table = {n: Fraction(1)}
+        elif n == 1:
+            table = {0: Fraction(1)}
+        else:
+            table = {}
+            for m, w in comb.order2_weights(n, "exact").items():
+                for s, p in _fraction_distribution(m, r - 1, memo).items():
+                    table[s] = table.get(s, 0) + w * p
+        memo[key] = table
+    return memo[key]
+
+
+def test_exact_matches_fraction_recursion():
+    engine = ExpectationEngine()
+    memo = {}
+    for text in ("S1", "S1^2", "S2/S1", "S1*S2-S3"):
+        f = parse(text)
+        for r in range(1, 5):
+            for n in range(1, 61):
+                assert engine.expectation_exact(n, r, f) == _fraction_expectation(
+                    n, r, f, memo
+                ), (n, r, text)
+
+
+def test_exact_distribution_matches_fraction_recursion():
+    engine = ExpectationEngine()
+    memo = {}
+    for r in range(1, 5):
+        for n in range(1, 61):
+            assert engine.distribution(n, r) == _fraction_distribution(n, r, memo), (
+                n,
+                r,
+            )
+
+
+def test_exact_distribution_sums_to_one_at_400():
+    engine = ExpectationEngine(exact_limit=400)
+    dist = engine.distribution(400, 3)
+    assert sum(dist.values()) == 1
+    assert sum(s * p for s, p in dist.items()) == engine.expectation_exact(400, 3, S1)
+
+
+def test_answers_do_not_depend_on_query_order():
+    queries = [
+        (n, r, text)
+        for text in ("S1", "S2/S1", "S1*S2-S3")
+        for r in (1, 2, 3)
+        for n in (1, 7, 30, 64)
+    ]
+
+    def answers(order):
+        engine = ExpectationEngine()
+        out = {}
+        for n, r, text in order:
+            out[n, r, text] = engine.expectation_exact(n, r, parse(text))
+            out[n, r, "dist"] = engine.distribution(n, r)
+        return out
+
+    assert answers(queries) == answers(queries[::-1])
 
 
 def test_bruteforce_examples(engine):

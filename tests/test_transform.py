@@ -105,3 +105,14 @@ def test_phi_surjective_from_double_magnitude():
         targets = set(trees.enumerate_trees(m))
         images = {transform.phi(t) for t in trees.enumerate_trees(2 * m)}
         assert targets <= images
+
+
+def test_preimages_of_deep_caterpillar():
+    # A 3000-leaf caterpillar is far higher than the recursion limit; the
+    # first preimage at double magnitude hangs a cherry under every leaf.
+    base = L
+    for _ in range(2999):
+        base = (L, base)
+    first = next(transform.preimages(base, 6000))
+    assert trees.magnitude(first) == 6000
+    assert trees.encode(transform.phi(first)) == trees.encode(base)
