@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -57,19 +56,23 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(n - 2, q) << q
 
 
-def multiplicities(n: int) -> Iterator[Tuple[int, int]]:
-    """(m, multiplicity(n, m)) over 1 <= m <= n//2, in ascending m.
+def multiplicity_row(n: int) -> np.ndarray:
+    """multiplicity(n, m) over 0 <= m <= n//2 as an object array of ints.
 
-    Each entry follows from the one before it, q = n - 2m going down by
-    two, by the ratio of consecutive terms: one small multiply and one
-    exact divide per entry instead of a fresh binomial.
+    The counting twin of ``float_weight_row``, laid out the same way: m = 0
+    holds 0 for n >= 2, and below magnitude 2 the row is δ_0. Each entry
+    follows from the one before it, q = n - 2m going down by two, by the
+    ratio of consecutive terms: one small multiply and one exact divide per
+    entry instead of a fresh binomial.
     """
-    q = n - 2
-    mu = 1 << q
-    for m in range(1, n // 2 + 1):
-        yield m, mu
+    if n < 2:
+        return np.ones(1, dtype=object)
+    mu = 1 << (n - 2)
+    row = [0]
+    for q in range(n - 2, -1, -2):
+        row.append(mu)
         mu = mu * q * (q - 1) // (4 * (n - q) * (n - q - 1))
-        q -= 2
+    return np.array(row, dtype=object)
 
 
 def class_size(n: int, m: int) -> int:
@@ -78,16 +81,20 @@ def class_size(n: int, m: int) -> int:
     return mu * catalan(m - 1) if mu else 0
 
 
-def float_weight_row(n: int) -> list:
-    """(m, w(n, m)) pairs over 1 <= m <= n//2 in ascending m, via log-gamma.
+def float_weight_row(n: int) -> np.ndarray:
+    """w(n, m) over 0 <= m <= n//2 as a float array, via log-gamma.
 
     w(n, m) = class_size(n, m) / catalan(n-1), the probability that a uniform
-    magnitude-n tree has m second-order branches. The whole row is one
+    magnitude-n tree has m second-order branches (w(n, 0) = 0 for n >= 2).
+    Below magnitude 2 the row is δ_0: a single leaf has no second-order
+    branch, and magnitude 0, above the root order, stays put. The row is one
     vectorised log-gamma expression, so deep float sweeps are not dominated
     by weight set-up. Relative error is a small multiple of the largest
     lgamma magnitude times machine epsilon (within 1e-12 for n up to a few
     hundred).
     """
+    if n < 2:
+        return np.ones(1)
     ms = np.arange(1, n // 2 + 1)
     qs = n - 2 * ms
     logs = (
@@ -100,7 +107,7 @@ def float_weight_row(n: int) -> list:
         + math.lgamma(n)
         - math.lgamma(2 * n - 1)
     )
-    return list(zip(ms.tolist(), np.exp(logs).tolist()))
+    return np.concatenate(([0.0], np.exp(logs)))
 
 
 def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[int, float]:
@@ -115,5 +122,5 @@ def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[in
         total = catalan(n - 1)
         return {m: Fraction(class_size(n, m), total) for m in range(1, n // 2 + 1)}
     if mode == "float":
-        return dict(float_weight_row(n))
+        return dict(enumerate(float_weight_row(n)[1:].tolist(), start=1))
     raise ValueError(f"unknown weight mode {mode!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from .trees import LEAF, Tree, branch_counts, magnitude
+from .trees import LEAF, Tree, _flatten, branch_counts, magnitude
 
 
 _GONE = object()  # marks a removed node during the phi fold
@@ -28,20 +28,8 @@ def phi(t: Tree) -> Tree:
     """Remove all leaves of ``t`` and contract the resulting unary chains."""
     if t is None:
         raise ValueError("phi is undefined on a single leaf (magnitude 1)")
-    # Post-order fold over the shared node list; children resolve before parents.
-    nodes = [t]
-    kids = [(-1, -1)]
-    i = 0
-    while i < len(nodes):
-        v = nodes[i]
-        if v is not None:
-            j = len(nodes)
-            kids[i] = (j, j + 1)
-            nodes.append(v[0])
-            kids.append((-1, -1))
-            nodes.append(v[1])
-            kids.append((-1, -1))
-        i += 1
+    # Fold over the pre-order node list in reverse; children resolve before parents.
+    nodes, kids = _flatten(t)
     image: list = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         a, b = kids[i]
@@ -74,13 +62,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
             yield ()
         return
     for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
+        bars = (-1, *cuts, total + parts - 1)  # parts - 1 bars among the stars
+        yield tuple(b - a - 1 for a, b in zip(bars, bars[1:]))
 
 
 def _build(tau: Tree, chain_lengths: tuple, sides: tuple) -> Tree:

@@ -90,19 +90,14 @@ def _flatten(t: Tree):
     Children always come after their parent in the list, so a reversed scan
     visits children before parents.
     """
-    nodes = [t]
-    kids = [(-1, -1)]
-    i = 0
-    while i < len(nodes):
-        v = nodes[i]
-        if v is not None:
+    nodes, kids = [t], []
+    for v in nodes:  # the list grows while it is scanned
+        if v is None:
+            kids.append((-1, -1))
+        else:
             j = len(nodes)
-            kids[i] = (j, j + 1)
-            nodes.append(v[0])
-            kids.append((-1, -1))
-            nodes.append(v[1])
-            kids.append((-1, -1))
-        i += 1
+            kids.append((j, j + 1))
+            nodes += v
     return nodes, kids
 
 

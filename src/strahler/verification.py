@@ -1,12 +1,13 @@
 """One-shot verification suite: every acceptance check, pass/fail.
 
-Each check returns a CheckResult; ``run_all`` executes them in order.
-``max_n`` clamps every magnitude grid (for a reduced, faster run) and
-``trials`` caps the sampler checks. The checks assert the documented
-tolerances exactly as stated; nothing is loosened to force a pass, so a
-check can legitimately come back red if its stated tolerance is tighter
-than the mathematics allows (see the horton-law and moment-ratio notes in
-the project README).
+Every check takes (engine, max_n=None, trials=SAMPLER_TRIALS) and returns
+a CheckResult; ``run_all`` executes them in order. ``max_n`` clamps every
+magnitude grid (for a reduced, faster run) and ``trials`` caps the sampler
+checks; a check ignores the arguments it has no use for. The checks assert
+the documented tolerances exactly as stated; nothing is loosened to force a
+pass, so a check can legitimately come back red if its stated tolerance is
+tighter than the mathematics allows (see the horton-law and moment-ratio
+notes in the project README).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _result(name: str, failures: list, detail: str, t0: float) -> CheckResult:
 
 
 def check_oracle_equivalence(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """1: exact recursion equals brute-force enumeration over the battery."""
     t0 = time.time()
@@ -79,7 +80,9 @@ def check_oracle_equivalence(
     )
 
 
-def check_multiplicity(max_n: Optional[int] = None) -> CheckResult:
+def check_multiplicity(
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
+) -> CheckResult:
     """2: preimage generator yields exactly mu(n, m) trees, all mapping back."""
     t0 = time.time()
     top = min(10, max_n or 10)
@@ -111,7 +114,7 @@ def check_multiplicity(max_n: Optional[int] = None) -> CheckResult:
 
 
 def check_werner_closed_forms(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """3: Werner's mean and variance closed forms hold exactly for 4 <= n <= 200."""
     t0 = time.time()
@@ -134,7 +137,7 @@ def check_werner_closed_forms(
 
 
 def check_horton_law(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """4: exact first-order ratio identity, float residual bounds, slope."""
     t0 = time.time()
@@ -171,7 +174,7 @@ def check_horton_law(
 
 
 def check_moment_ratio_law(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """5: moment-ratio truncation bound and exact 4^k limit column."""
     t0 = time.time()
@@ -198,7 +201,9 @@ def check_moment_ratio_law(
     )
 
 
-def check_expansion_reproduction(max_n: Optional[int] = None) -> CheckResult:
+def check_expansion_reproduction(
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
+) -> CheckResult:
     """6: the two-term expansion reproduces the known mean and moment forms."""
     t0 = time.time()
     failures = []
@@ -229,7 +234,7 @@ def check_expansion_reproduction(max_n: Optional[int] = None) -> CheckResult:
 
 
 def check_ratio_identity(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """7: E[S2/S1] equals E[S2]/E[S1] exactly; one order up it decays as n^-2."""
     t0 = time.time()
@@ -266,7 +271,7 @@ def check_ratio_identity(
 
 
 def check_variance_pipeline(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """8: the order-3 variance report with residual diagnostics is produced."""
     t0 = time.time()
@@ -294,9 +299,7 @@ def check_variance_pipeline(
 
 
 def check_sampler(
-    engine: ExpectationEngine,
-    max_n: Optional[int] = None,
-    trials: int = SAMPLER_TRIALS,
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """9: chi-square shape uniformity at n=6; Monte Carlo mean against exact."""
     t0 = time.time()
@@ -333,7 +336,7 @@ def check_sampler(
 
 
 def check_distribution_normalization(
-    engine: ExpectationEngine, max_n: Optional[int] = None
+    engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
     """10: exact distributions sum to one and their means match the engine."""
     t0 = time.time()
@@ -357,28 +360,16 @@ def check_distribution_normalization(
 
 
 CHECKS: dict[str, Callable] = {
-    "oracle-equivalence": lambda engine, max_n, trials: check_oracle_equivalence(
-        engine, max_n
-    ),
-    "multiplicity": lambda engine, max_n, trials: check_multiplicity(max_n),
-    "werner-closed-forms": lambda engine, max_n, trials: check_werner_closed_forms(
-        engine, max_n
-    ),
-    "horton-law": lambda engine, max_n, trials: check_horton_law(engine, max_n),
-    "moment-ratio-law": lambda engine, max_n, trials: check_moment_ratio_law(
-        engine, max_n
-    ),
-    "expansion-reproduction": lambda engine, max_n, trials: check_expansion_reproduction(
-        max_n
-    ),
-    "ratio-identity": lambda engine, max_n, trials: check_ratio_identity(engine, max_n),
-    "variance-pipeline": lambda engine, max_n, trials: check_variance_pipeline(
-        engine, max_n
-    ),
+    "oracle-equivalence": check_oracle_equivalence,
+    "multiplicity": check_multiplicity,
+    "werner-closed-forms": check_werner_closed_forms,
+    "horton-law": check_horton_law,
+    "moment-ratio-law": check_moment_ratio_law,
+    "expansion-reproduction": check_expansion_reproduction,
+    "ratio-identity": check_ratio_identity,
+    "variance-pipeline": check_variance_pipeline,
     "sampler": check_sampler,
-    "distribution-normalization": lambda engine, max_n, trials: (
-        check_distribution_normalization(engine, max_n)
-    ),
+    "distribution-normalization": check_distribution_normalization,
 }
 
 

@@ -176,6 +176,21 @@ def test_exit_code_evaluation_failures(capsys):
     assert "Laurent" in err
 
 
+def test_horton_ratio_observable_answers(capsys):
+    # S2 >= 1 on every tree of magnitude >= 2, so S1/S2 has an expectation
+    # and a sampled mean there.
+    for mode in ("exact", "float"):
+        code, out, _ = run_cli(capsys, "expect", "--n", "10", "--f", "S1/S2", "--mode", mode)
+        assert code == 0
+        assert parse_csv(out)[0]["value_decimal"] == "4.19882078706"
+        code, out, _ = run_cli(
+            capsys, "sample", "--n", "10", "--f", "S1/S2", "--mode", mode,
+            "--trials", "5", "--seed", "1",
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["reference"] == "4.19882078706"
+
+
 # Valid observables (constant, polynomial, rational, multi-variable, one
 # that divides by zero at some windows, one identically zero) and malformed
 # ones (syntax, variable index, zero divisor, empty).
@@ -185,9 +200,9 @@ FUZZ_OBSERVABLES = (
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(("expect", "ratio", "dist")),
+    command=st.sampled_from(("expect", "ratio", "dist", "asympt", "sample")),
     magnitudes=st.one_of(
         st.integers(-3, 40).map(lambda n: ["--n", str(n)]),
         st.lists(st.integers(-3, 40), min_size=1, max_size=4).map(
@@ -198,11 +213,15 @@ FUZZ_OBSERVABLES = (
     max_n=st.integers(-3, 60),
     f=st.sampled_from(FUZZ_OBSERVABLES),
     mode=st.sampled_from(("exact", "float", "auto")),
+    trials=st.integers(-1, 30),
+    seed=st.integers(-(2**70), 2**70),
 )
-def test_cli_fuzz_exit_codes(command, magnitudes, r, max_n, f, mode):
+def test_cli_fuzz_exit_codes(command, magnitudes, r, max_n, f, mode, trials, seed):
     argv = [command, *magnitudes, "--r", str(r), "--max-n", str(max_n), "--mode", mode]
     if command != "dist":
         argv += ["--f", f]
+    if command == "sample":
+        argv += ["--trials", str(trials), "--seed", str(seed)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):

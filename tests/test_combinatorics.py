@@ -27,9 +27,10 @@ def test_multiplicity_examples():
 
 def test_multiplicities_row_matches_multiplicity():
     for n in range(2, 120):
-        assert list(comb.multiplicities(n)) == [
-            (m, comb.multiplicity(n, m)) for m in range(1, n // 2 + 1)
+        assert comb.multiplicity_row(n).tolist() == [0] + [
+            comb.multiplicity(n, m) for m in range(1, n // 2 + 1)
         ]
+    assert comb.multiplicity_row(1).tolist() == [1]  # δ_0, like float_weight_row
 
 
 def test_multiplicity_out_of_range_is_zero():

@@ -10,7 +10,7 @@ from strahler.expectations import (
     ExpectationEngine,
     LimitExceededError,
 )
-from strahler.observables import parse
+from strahler.observables import NonzeroOverZeroError, parse
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,7 @@ def test_answers_do_not_depend_on_query_order():
         out = {}
         for n, r, text in order:
             out[n, r, text] = engine.expectation_exact(n, r, parse(text))
+            out[n, r, text, "float"] = engine.expectation_float(n, r, parse(text))
             out[n, r, "dist"] = engine.distribution(n, r)
         return out
 
@@ -138,6 +139,27 @@ def test_exact_matches_bruteforce_battery(engine):
                 ), (n, r, f.text)
 
 
+def test_dividing_observables_match_bruteforce(engine):
+    # The all-zeros window is evaluated only where a tree has it: S1/S2 and
+    # 1/S2 at r = 1 and 1/S1 at r = 2 are defined on every tree of
+    # magnitude >= 2, and raise, like the oracle, where some tree divides by 0.
+    for text in ("S1/S2", "1/S2", "1/S1", "S1/S2+1/S3", "1/(S1-3)"):
+        f = parse(text)
+        for r in (1, 2, 3, 4):
+            for n in range(1, 10):
+                try:
+                    expected = engine.expectation_bruteforce(n, r, f)
+                except NonzeroOverZeroError:
+                    for query in (engine.expectation_exact, engine.expectation_float):
+                        with pytest.raises(NonzeroOverZeroError):
+                            query(n, r, f)
+                    continue
+                assert engine.expectation_exact(n, r, f) == expected, (text, r, n)
+                est = engine.expectation_float(n, r, f)
+                error = abs(Fraction(est.value) - expected)
+                assert error <= Fraction(est.rel_error_bound) * abs(expected), (text, r, n)
+
+
 def test_exact_limit_guard():
     small = ExpectationEngine(exact_limit=50)
     with pytest.raises(LimitExceededError):
@@ -170,6 +192,26 @@ def test_float_exact_agreement_sample(engine):
             exact = float(engine.expectation_exact(n, r, S1SQ))
             approx = engine.expectation_float(n, r, S1SQ).value
             assert abs(approx - exact) <= 1e-10 * abs(exact)
+
+
+def test_float_error_bound_holds_against_exact(engine):
+    # Children valued exactly 0 (E_m[S_j] = 0 for m < 2^(j-1)) must not
+    # turn their parent's bound into 0 * inf = nan.
+    for text in ("S1", "S1^2", "S2/S1", "S1*S2-S3"):
+        f = parse(text)
+        for r in range(1, 5):
+            for n in (2, 5, 9, 17, 40, 100, 200, 300):
+                exact = engine.expectation_exact(n, r, f)
+                est = engine.expectation_float(n, r, f)
+                assert math.isfinite(est.rel_error_bound), (text, r, n)
+                error = abs(Fraction(est.value) - exact)
+                assert error <= Fraction(est.rel_error_bound) * abs(exact), (text, r, n)
+
+
+def test_float_distribution_lists_only_nonzero_probabilities(engine):
+    dist = engine.distribution(4000, 3, mode="float")
+    assert all(p > 0 for p in dist.values())
+    assert math.isclose(math.fsum(dist.values()), 1.0, rel_tol=1e-10)
 
 
 def test_distribution_examples(engine):
