@@ -13,12 +13,16 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 _LOG2 = math.log(2.0)
 
 # Incrementally grown Catalan cache; list index i holds c_i.
 _catalan_cache: list[int] = [1]
+
+# lgamma(k) at index k >= 1 (index 0 is unused), grown on demand. Growth
+# assigns a longer array and never writes into one, so a row being built
+# from the old table stays valid.
+_lgamma_table = np.array([math.inf, 0.0])
 
 
 def catalan(i: int) -> int:
@@ -81,6 +85,17 @@ def class_size(n: int, m: int) -> int:
     return mu * catalan(m - 1) if mu else 0
 
 
+def _lgammas(k: int) -> np.ndarray:
+    """A table holding lgamma(i) at index i for at least 1 <= i <= k."""
+    global _lgamma_table
+    table = _lgamma_table
+    if len(table) <= k:
+        new = range(len(table), max(k + 1, 2 * len(table)))
+        table = np.concatenate((table, [math.lgamma(i) for i in new]))
+        _lgamma_table = table
+    return table
+
+
 def float_weight_row(n: int) -> np.ndarray:
     """w(n, m) over 0 <= m <= n//2 as a float array, via log-gamma.
 
@@ -89,20 +104,22 @@ def float_weight_row(n: int) -> np.ndarray:
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
     branch, and magnitude 0, above the root order, stays put. The row is one
     vectorised log-gamma expression, so deep float sweeps are not dominated
-    by weight set-up. Relative error is a small multiple of the largest
-    lgamma magnitude times machine epsilon (within 1e-12 for n up to a few
-    hundred).
+    by weight set-up; its log-gamma values come from a shared table of
+    ``math.lgamma`` at the integers. Relative error is a small multiple of
+    the largest lgamma magnitude times machine epsilon (within 1e-12 for n
+    up to a few hundred).
     """
     if n < 2:
         return np.ones(1)
+    lgammas = _lgammas(n)
     ms = np.arange(1, n // 2 + 1)
     qs = n - 2 * ms
     logs = (
         math.lgamma(n - 1)
         + qs * _LOG2
-        - gammaln(qs + 1)
-        - gammaln(ms + 1)
-        - gammaln(ms)
+        - lgammas[qs + 1]
+        - lgammas[ms + 1]
+        - lgammas[ms]
         + math.lgamma(n + 1)
         + math.lgamma(n)
         - math.lgamma(2 * n - 1)

@@ -185,27 +185,33 @@ class ExpectationEngine:
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """Dispatch by mode; auto switches to float past the exact ceiling."""
-        if mode == "exact":
+        if self._arithmetic(n, mode) is _EXACT:
             return self.expectation_exact(n, r, f)
+        return self.expectation_float(n, r, f).value
+
+    def _arithmetic(self, n: int, mode: str) -> _Arithmetic:
+        """The arithmetic a public query in ``mode`` uses at magnitude n."""
+        if mode == "exact":
+            return _EXACT
         if mode == "float":
-            return self.expectation_float(n, r, f).value
+            return _FLOAT
         if mode == "auto":
             if n <= self.exact_limit:
-                return self.expectation_exact(n, r, f)
+                return _EXACT
             warnings.warn(
                 f"magnitude {n} exceeds the exact ceiling {self.exact_limit}; "
                 "falling back to float mode",
-                stacklevel=2,
+                stacklevel=3,
             )
-            return self.expectation_float(n, r, f).value
+            return _FLOAT
         raise ValueError(f"unknown mode {mode!r}")
 
     # -- the kernel, forward --------------------------------------------------
 
     def distribution(self, n: int, r: int, mode: str = "exact") -> dict:
-        """P_n(S_r = s) over the nonzero support, exact or float."""
+        """P_n(S_r = s) over the nonzero support, exact, float or auto."""
         _validate_query(n, r)
-        arith = _EXACT if mode == "exact" else _FLOAT
+        arith = self._arithmetic(n, mode)
         if arith is _EXACT:
             self._check_exact_limit(n)
         law = np.zeros(n + 1, dtype=arith.dtype)
@@ -279,8 +285,12 @@ def _float_settle(n: int, dot: np.ndarray) -> tuple:
     """The entry from w(n, .) @ (level below): the weights' own error and the
     summation rounding add to the children's errors in proportion to the mass."""
     total, mass, error = dot.tolist()
-    weight_error = 8 * _EPS * max(1.0, 2 * n * math.log1p(2 * n))  # log-gamma rows
-    return total, abs(total), error + mass * (weight_error + (n // 2 + 1) * _EPS)
+    return total, abs(total), error + mass * (_weight_error(n) + (n // 2 + 1) * _EPS)
+
+
+def _weight_error(n: int) -> float:
+    """Relative error allowed each entry of the log-gamma row w(n, .)."""
+    return 8 * _EPS * max(1.0, 2 * n * math.log1p(2 * n))
 
 
 # (dtype, row, scale, leaf, settle, divide) of each mode

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +233,49 @@ def test_cli_fuzz_exit_codes(command, magnitudes, r, max_n, f, mode, trials, see
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     assert code in (0, 1, 2, 3), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    magnitudes=st.one_of(
+        st.integers(-3, 10).map(lambda n: ["--n", str(n)]),
+        st.lists(st.integers(-3, 10), min_size=1, max_size=3).map(
+            lambda grid: ["--n-grid", ",".join(map(str, grid))]
+        ),
+    ),
+    max_n=st.integers(-3, 12),
+    fmt=st.sampled_from(("csv", "json")),
+)
+def test_cli_fuzz_enumerate_exit_codes(magnitudes, max_n, fmt):
+    # Bounded apart from the other fuzz test so that no example enumerates
+    # a large magnitude (c_9 = 4862 shapes at n = 10).
+    argv = ["enumerate", *magnitudes, "--max-n", str(max_n), "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+
+
+def test_cli_imports_no_scipy():
+    # scipy cost a second of start-up for two small routines; keep it out.
+    script = (
+        "import contextlib, io, sys\n"
+        "import strahler, strahler.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = strahler.cli.main(['expect', '--n', '12', '--r', '2'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_exit_code_resource_limit(capsys):

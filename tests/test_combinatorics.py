@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strahler import combinatorics as comb
+from strahler.expectations import _weight_error
 
 
 @pytest.mark.parametrize("i,value", [(0, 1), (1, 1), (4, 14), (5, 42), (13, 742900)])
@@ -75,6 +76,21 @@ def test_float_weights_match_exact():
         approx = comb.order2_weights(n, "float")
         for m, w in exact.items():
             assert math.isclose(approx[m], float(w), rel_tol=1e-10)
+
+
+def test_float_weight_row_within_the_engines_weight_error():
+    # The float engine charges each log-gamma row entry this relative error;
+    # the check reaches magnitudes far past the exact ceiling.
+    for n in (2, 3, 17, 100, 1000, 3000):
+        row = comb.float_weight_row(n)
+        counts = comb.multiplicity_row(n)
+        total = comb.catalan(n - 1)
+        bound = Fraction(_weight_error(n))
+        assert len(row) == n // 2 + 1 and row[0] == 0
+        for m in range(1, n // 2 + 1):
+            exact = Fraction(counts[m] * comb.catalan(m - 1), total)
+            if exact > Fraction(10) ** -250:
+                assert abs(Fraction(row[m]) - exact) <= bound * exact, (n, m)
 
 
 def test_weight_mode_validation():

@@ -176,6 +176,19 @@ def test_auto_mode_switches_with_warning():
     assert isinstance(value, float)
 
 
+def test_distribution_modes_match_expectation():
+    small = ExpectationEngine(exact_limit=50)
+    assert small.distribution(5, 2, mode="auto") == {1: Fraction(4, 7), 2: Fraction(3, 7)}
+    with pytest.warns(UserWarning, match="falling back to float mode"):
+        law = small.distribution(60, 2, mode="auto")
+    assert law == small.distribution(60, 2, mode="float")
+    assert all(isinstance(p, float) for p in law.values())
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        small.distribution(5, 2, mode="bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        small.expectation(5, 2, S1, mode="bogus")
+
+
 def test_float_examples(engine):
     est = engine.expectation_float(1000, 2, S1)
     assert math.isclose(est.value, 999000 / 3994, rel_tol=1e-9)

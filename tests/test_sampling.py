@@ -1,11 +1,13 @@
 import hashlib
+import math
+import random
 from collections import Counter
 
 import pytest
-from scipy import stats
 
 from strahler import sampling, trees
 from strahler.observables import parse
+from strahler.verification import chi2_sf, chi_square_p_value
 
 S1 = parse("S1")
 
@@ -46,7 +48,7 @@ def test_uniformity_chi_square_small_magnitudes():
             for i in range(trials)
         )
         observed = [tally.get(t, 0) for t in shapes]
-        _stat, p = stats.chisquare(observed)
+        p = chi_square_p_value(observed)
         assert 0.001 <= p <= 0.999, (n, p)
 
 
@@ -63,8 +65,33 @@ def test_growth_path_uniformity_chi_square():
         root = parent.index(-1)
         tally[sampling._tree_from_arrays(left, right, root)] += 1
     observed = [tally.get(t, 0) for t in shapes]
-    _stat, p = stats.chisquare(observed)
+    p = chi_square_p_value(observed)
     assert 0.001 <= p <= 0.999, p
+
+
+def test_chi2_sf_closed_forms():
+    for x in (1e-9, 0.01, 0.5, 1.0, 3.84, 10.0, 50.0, 700.0, 2000.0):
+        assert math.isclose(chi2_sf(x, 1), math.erfc(math.sqrt(x / 2)), rel_tol=1e-13)
+        assert math.isclose(chi2_sf(x, 2), math.exp(-x / 2), rel_tol=1e-13)
+    assert chi2_sf(0.0, 5) == 1.0
+    # Many degrees of freedom: no term may underflow before it is negligible.
+    assert 0.45 < chi2_sf(2000.0, 2000) < 0.55
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+    with pytest.raises(ValueError):
+        chi_square_p_value([5])
+
+
+def test_chi_square_p_value_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    # Uniform draws, so the p-values spread over (0, 1).
+    rng = random.Random(5)
+    for df in (1, 2, 3, 4, 13, 41):
+        for _ in range(20):
+            tally = Counter(rng.randrange(df + 1) for _ in range(40 * (df + 1)))
+            observed = [tally[i] for i in range(df + 1)]
+            expected = stats.chisquare(observed).pvalue
+            assert abs(chi_square_p_value(observed) - expected) <= 1e-12, (df, observed)
 
 
 def test_monte_carlo_matches_per_trial_sampling():
