@@ -17,7 +17,7 @@ from .asymptotics import (
     ratio_asymptotic,
     variance_pipeline_report,
 )
-from .combinatorics import catalan, class_size, multiplicity, order2_weights
+from .combinatorics import catalan, multiplicity, order2_weights
 from .expectations import (
     DegenerateRatioError,
     ExpectationEngine,

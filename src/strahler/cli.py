@@ -51,15 +51,20 @@ def _decimal12(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _emit(rows: list, headers: list, fmt: str, out_path):
-    if fmt == "json":
+def _emit(rows: list, args):
+    """Write a non-empty table as CSV or JSON; its columns are the first row's keys."""
+    if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=headers, lineterminator="\n")
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()
+    _write(text, args.out)
+
+
+def _write(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -114,39 +119,28 @@ def _observable(args):
         raise _UsageError(f"bad observable: {err}") from None
 
 
-def _mode_for(engine: ExpectationEngine, n: int, mode: str) -> str:
-    if mode == "auto":
-        return "exact" if n <= engine.exact_limit else "float"
-    return mode
-
-
 def cmd_expect(args) -> int:
     engine = _engine(args)
     f = _observable(args)
     rows = []
     for n in _grid(args):
-        mode = _mode_for(engine, n, args.mode)
-        if mode == "exact":
-            value = engine.expectation_exact(n, args.r, f)
-            exact_text = str(value)
-        else:
-            value = engine.expectation_float(n, args.r, f).value
-            exact_text = ""
+        mode = engine.mode_for(n, args.mode)
+        value = engine.expectation(n, args.r, f, mode)
         rows.append(
             {
                 "n": n,
                 "r": args.r,
                 "f": f.text,
-                "value": exact_text,
+                "value": str(value) if mode == "exact" else "",
                 "value_decimal": _decimal12(value),
                 "mode": mode,
             }
         )
-    _emit(rows, ["n", "r", "f", "value", "value_decimal", "mode"], args.format, args.out)
+    _emit(rows, args)
     return EXIT_OK
 
 
-def _ratio_init(engine, f, args):
+def _ratio_init(engine, f):
     if f.arity == 1:
         return asym.laurent_at_infinity(f)
     fit_ns = sorted({min(n, engine.exact_limit) for n in (120, 200, 300)})
@@ -161,10 +155,10 @@ def _ratio_init(engine, f, args):
 def cmd_ratio(args) -> int:
     engine = _engine(args)
     f = _observable(args)
-    init = _ratio_init(engine, f, args)
+    init = _ratio_init(engine, f)
     rows = []
     for n in _grid(args):
-        mode = _mode_for(engine, n, args.mode)
+        mode = engine.mode_for(n, args.mode)
         ratio = engine.bifurcation_ratio(n, args.r, f, mode=mode)
         expansion = asym.ratio_asymptotic(init, args.r, n)
         residual = float(ratio) - float(expansion.value)
@@ -182,23 +176,7 @@ def cmd_ratio(args) -> int:
                 "mode": mode,
             }
         )
-    _emit(
-        rows,
-        [
-            "n",
-            "r",
-            "f",
-            "ratio",
-            "ratio_decimal",
-            "asymptotic",
-            "asymptotic_decimal",
-            "limit",
-            "residual_decimal",
-            "mode",
-        ],
-        args.format,
-        args.out,
-    )
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -206,10 +184,9 @@ def cmd_dist(args) -> int:
     engine = _engine(args)
     rows = []
     for n in _grid(args):
-        mode = _mode_for(engine, n, args.mode)
+        mode = engine.mode_for(n, args.mode)
         table = engine.distribution(n, args.r, mode=mode)
-        for s in sorted(table):
-            prob = table[s]
+        for s, prob in sorted(table.items()):
             rows.append(
                 {
                     "n": n,
@@ -220,12 +197,7 @@ def cmd_dist(args) -> int:
                     "mode": mode,
                 }
             )
-    _emit(
-        rows,
-        ["n", "r", "s", "probability", "probability_decimal", "mode"],
-        args.format,
-        args.out,
-    )
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -238,11 +210,8 @@ def cmd_sample(args) -> int:
             n=n, trials=args.trials, seed=args.seed, f=f, r=args.r
         )
         result = sampling.monte_carlo(cfg)
-        mode = _mode_for(engine, n, args.mode)
-        if mode == "exact":
-            reference = engine.expectation_exact(n, args.r, f)
-        else:
-            reference = engine.expectation_float(n, args.r, f).value
+        mode = engine.mode_for(n, args.mode)
+        reference = engine.expectation(n, args.r, f, mode)
         rows.append(
             {
                 "n": n,
@@ -256,12 +225,7 @@ def cmd_sample(args) -> int:
                 "mode": mode,
             }
         )
-    _emit(
-        rows,
-        ["n", "r", "f", "trials", "seed", "mean", "stderr", "reference", "mode"],
-        args.format,
-        args.out,
-    )
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -283,19 +247,14 @@ def cmd_enumerate(args) -> int:
                     "profile": " ".join(map(str, profile.counts)),
                 }
             )
-    _emit(
-        rows,
-        ["n", "index", "tree", "magnitude", "order", "profile"],
-        args.format,
-        args.out,
-    )
+    _emit(rows, args)
     return EXIT_OK
 
 
 def cmd_asympt(args) -> int:
     engine = _engine(args)
     f = _observable(args)
-    init = _ratio_init(engine, f, args)
+    init = _ratio_init(engine, f)
     coeffs = asym.coeff_recursion(init, args.r)
     residual_points = []
     rows = []
@@ -314,7 +273,7 @@ def cmd_asympt(args) -> int:
             "exact_decimal": "",
             "residual_decimal": "",
         }
-        if n <= engine.exact_limit:
+        if engine.mode_for(n) == "exact":
             exact = engine.expectation_exact(n, args.r, f)
             residual = exact - expansion
             residual_points.append((n, residual))
@@ -326,36 +285,12 @@ def cmd_asympt(args) -> int:
     slope_text = "" if slope is None else f"{slope:.6g}"
     for row in rows:
         row["fitted_slope"] = slope_text
-    _emit(
-        rows,
-        [
-            "n",
-            "r",
-            "f",
-            "k",
-            "a_r",
-            "b_r",
-            "asymptotic",
-            "asymptotic_decimal",
-            "exact",
-            "exact_decimal",
-            "residual_decimal",
-            "fitted_slope",
-        ],
-        args.format,
-        args.out,
-    )
+    _emit(rows, args)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    engine = ExpectationEngine(
-        enumeration_limit=max(DEFAULT_ENUMERATION_LIMIT, args.max_n or 0),
-        exact_limit=max(1000, args.max_n or 0),
-    )
-    results = verification.run_all(
-        engine=engine, max_n=args.max_n, trials=args.trials
-    )
+    results = verification.run_all(max_n=args.max_n, trials=args.trials)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {result.name}: {result.detail}", file=sys.stderr)
@@ -371,12 +306,7 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    text = json.dumps(summary, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(summary, indent=2) + "\n", args.out)
     return EXIT_OK if summary["passed"] else EXIT_FAILURE
 
 

@@ -1,8 +1,9 @@
 """Exact counting for the uniform binary-tree model.
 
-Catalan numbers, the multiplicity of the leaf-removal transform, sizes of
-the ``second-order branch count = m`` classes, and the resulting magnitude
-weights, either as exact rationals or as log-gamma floats for large inputs.
+Catalan numbers, the multiplicity of the leaf-removal transform, and the
+magnitude weights it induces (the shares of the ``second-order branch count
+= m`` classes), either as exact rationals or as log-gamma floats for large
+inputs.
 
 All exact results are arbitrary-precision; nothing in exact mode rounds.
 """
@@ -79,12 +80,6 @@ def multiplicity_row(n: int) -> np.ndarray:
     return np.array(row, dtype=object)
 
 
-def class_size(n: int, m: int) -> int:
-    """Number of magnitude-n trees whose second-order branch count is m."""
-    mu = multiplicity(n, m)
-    return mu * catalan(m - 1) if mu else 0
-
-
 def _lgammas(k: int) -> np.ndarray:
     """A table holding lgamma(i) at index i for at least 1 <= i <= k."""
     global _lgamma_table
@@ -99,8 +94,10 @@ def _lgammas(k: int) -> np.ndarray:
 def float_weight_row(n: int) -> np.ndarray:
     """w(n, m) over 0 <= m <= n//2 as a float array, via log-gamma.
 
-    w(n, m) = class_size(n, m) / catalan(n-1), the probability that a uniform
-    magnitude-n tree has m second-order branches (w(n, 0) = 0 for n >= 2).
+    w(n, m) = multiplicity(n, m) * catalan(m-1) / catalan(n-1), the probability
+    that a uniform magnitude-n tree has m second-order branches: each of the
+    c_{m-1} magnitude-m trees has multiplicity(n, m) preimages (w(n, 0) = 0
+    for n >= 2).
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
     branch, and magnitude 0, above the root order, stays put. The row is one
     vectorised log-gamma expression, so deep float sweeps are not dominated
@@ -137,7 +134,10 @@ def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[in
         raise ValueError(f"order2_weights requires n >= 2, got n={n}")
     if mode == "exact":
         total = catalan(n - 1)
-        return {m: Fraction(class_size(n, m), total) for m in range(1, n // 2 + 1)}
+        return {
+            m: Fraction(multiplicity(n, m) * catalan(m - 1), total)
+            for m in range(1, n // 2 + 1)
+        }
     if mode == "float":
         return dict(enumerate(float_weight_row(n)[1:].tolist(), start=1))
     raise ValueError(f"unknown weight mode {mode!r}")

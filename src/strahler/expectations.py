@@ -12,8 +12,9 @@ independent oracle:
 * ``expectation_exact`` and ``expectation_float`` apply the kernel backward:
   V_r(n) = K(n, .) . V_{r-1}; at r = 1 it is f(n) when f has one variable,
   and otherwise K(n, .) . V_1 of f with its first variable bound to n.
-* ``distribution`` pushes δ_n forward through r - 1 kernel steps, in O(n)
-  memory and with no memo.
+* ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
+  pushed law is memoised per (mode, n, step), so a higher order of the same
+  magnitude continues from the last law an earlier query left.
 
 The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
@@ -98,6 +99,7 @@ class ExpectationEngine:
         self.exact_limit = exact_limit
         self._profiles: dict[int, Counter] = {}
         self._tables: dict = {}
+        self._laws: dict = {}
 
     # -- brute-force oracle ---------------------------------------------------
 
@@ -189,22 +191,26 @@ class ExpectationEngine:
             return self.expectation_exact(n, r, f)
         return self.expectation_float(n, r, f).value
 
+    def mode_for(self, n: int, mode: str = "auto") -> str:
+        """The arithmetic, "exact" or "float", that ``mode`` uses at magnitude
+        n: auto is exact up to ``exact_limit`` and float past it."""
+        if mode == "auto":
+            return "exact" if n <= self.exact_limit else "float"
+        if mode in ("exact", "float"):
+            return mode
+        raise ValueError(f"unknown mode {mode!r}")
+
     def _arithmetic(self, n: int, mode: str) -> _Arithmetic:
         """The arithmetic a public query in ``mode`` uses at magnitude n."""
-        if mode == "exact":
+        if self.mode_for(n, mode) == "exact":
             return _EXACT
-        if mode == "float":
-            return _FLOAT
         if mode == "auto":
-            if n <= self.exact_limit:
-                return _EXACT
             warnings.warn(
                 f"magnitude {n} exceeds the exact ceiling {self.exact_limit}; "
                 "falling back to float mode",
                 stacklevel=3,
             )
-            return _FLOAT
-        raise ValueError(f"unknown mode {mode!r}")
+        return _FLOAT
 
     # -- the kernel, forward --------------------------------------------------
 
@@ -214,21 +220,29 @@ class ExpectationEngine:
         arith = self._arithmetic(n, mode)
         if arith is _EXACT:
             self._check_exact_limit(n)
-        law = np.zeros(n + 1, dtype=arith.dtype)
-        law[n] = 1
-        for _ in range(min(r - 1, n.bit_length())):  # then the law stays at δ_0
-            pushed = np.zeros((len(law) + 1) // 2, dtype=arith.dtype)
-            for k, x in enumerate(law.tolist()):
-                if x:
-                    row = arith.row(k)
-                    pushed[: len(row)] += x * row
-            law = pushed
+        law = self._law(arith, n, min(r - 1, n.bit_length()))  # then it stays at δ_0
         total = arith.scale(n)
         return {
-            s: arith.divide(x * arith.scale(s), total)
-            for s, x in enumerate(law.tolist())
-            if x
+            s: arith.divide(x * arith.scale(s), total) for s, x in enumerate(law) if x
         }
+
+    def _law(self, arith: _Arithmetic, n: int, steps: int) -> list:
+        """The weights of magnitudes 0, 1, ... after ``steps`` forward kernel
+        steps from δ_n. Each pushed law is kept under (mode, n, steps), and,
+        like a level table, assigned once and never mutated."""
+        key = (arith, n, steps)
+        if key in self._laws:
+            return self._laws[key]
+        if steps == 0:
+            return [0] * n + [1]
+        below = self._law(arith, n, steps - 1)
+        pushed = np.zeros((len(below) + 1) // 2, dtype=arith.dtype)
+        for k, x in enumerate(below):
+            if x:
+                row = arith.row(k)
+                pushed[: len(row)] += x * row
+        law = self._laws[key] = pushed.tolist()
+        return law
 
     def _check_exact_limit(self, n: int):
         if n > self.exact_limit:

@@ -199,12 +199,10 @@ def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
 
 
 def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:
-    """Branch profile of one sampled tree; same stream as ``sample_uniform``."""
-    if n == 1:
-        return trees_mod.BranchProfile((1,))
+    """Branch profile of one sampled tree, from the same stream as
+    ``sample_uniform``; on the growth path no tree is assembled."""
     if n <= UNRANK_LIMIT:
-        rank = random.Random(child_seed).randrange(catalan(n - 1))
-        return trees_mod.branch_counts(trees_mod.unrank_tree(n, rank))
+        return trees_mod.branch_counts(sample_uniform(n, child_seed))
     return _grown_profile(n, child_seed)[0]
 
 

@@ -186,3 +186,25 @@ def test_variance_pipeline_report(engine):
     assert report.total_variance_a == Fraction(5, 256)
     assert report.supported == "total_variance"
     assert report.max_rel_residual < 0.05
+
+
+def test_second_order_ratio_coefficients():
+    # The n^-2 coefficients behind the two red acceptance checks (README,
+    # "Acceptance status"). n^2 (R - two-term expansion) tends to -c_r for
+    # the Horton ratio, c_r = (5*16^(r-1) + 4^(r-1))/3, and to 321*4^k for the
+    # k = 3 moment ratio at r = 2. So n |n^2 (R - two-term) - limit| stays
+    # bounded; an error d in a limit would make it grow like d*n.
+    engine = ExpectationEngine(exact_limit=1000)
+    s1, cube = parse("S1"), parse("S1^3")
+    cases = [
+        (s1, r, -Fraction(5 * 16 ** (r - 1) + 4 ** (r - 1), 3), bound)
+        for r, bound in zip((1, 2, 3, 4), (2.5, 160, 1.2e4, 1.5e6))
+    ]
+    cases.append((cube, 2, 321 * 4**3, 6500 * 4**3))
+    assert [case[2] for case in cases[:4]] == [-2, -28, -432, -6848]
+    for f, r, limit, bound in cases:
+        init = asym.laurent_at_infinity(f)
+        for n in (250, 500, 1000):
+            ratio = engine.bifurcation_ratio(n, r, f, mode="exact")
+            two_term = asym.ratio_asymptotic(init, r, n).value
+            assert n * abs(n * n * (ratio - two_term) - limit) <= bound, (f.text, r, n)

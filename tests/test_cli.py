@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -82,6 +84,36 @@ def test_dist_example_r3(capsys):
         ("0", "4/5"),
         ("1", "1/5"),
     ]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples(capsys):
+    # README example -> (its comment, the column values that comment states).
+    stated = {
+        "expect": ("22/7", {"value": ["22/7"]}),
+        "ratio": (
+            "394/99 vs expansion 199/50",
+            {"ratio": ["394/99"], "asymptotic": ["199/50"]},
+        ),
+        "dist": ("4/7, 3/7", {"probability": ["4/7", "3/7"]}),
+        "enumerate": ("all 14 shapes", {"index": [str(i) for i in range(14)]}),
+    }
+    examples = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("strahler "):
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)[1:]
+            examples[argv[0]] = (argv, comment)
+    for name, (said, columns) in stated.items():
+        argv, comment = examples[name]
+        assert said in comment, name
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        rows = parse_csv(out)
+        for column, values in columns.items():
+            assert [row[column] for row in rows] == values, argv
 
 
 def test_ratio_table(capsys):
@@ -258,6 +290,21 @@ def test_cli_fuzz_enumerate_exit_codes(magnitudes, max_n, fmt):
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     assert code in (0, 1, 2, 3), argv
+
+
+@settings(max_examples=20, deadline=None)
+@given(max_n=st.integers(-3, 60), trials=st.integers(-1, 50))
+def test_cli_fuzz_verify_exit_codes(max_n, trials):
+    # Bounded so that each reduced run stays well under a second.
+    argv = ["verify", "--max-n", str(max_n), "--trials", str(trials)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 def test_cli_imports_no_scipy():

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from strahler import combinatorics as comb
 from strahler.expectations import _weight_error
+from strahler.trees import branch_counts, enumerate_trees
 
 
 @pytest.mark.parametrize("i,value", [(0, 1), (1, 1), (4, 14), (5, 42), (13, 742900)])
@@ -40,24 +42,25 @@ def test_multiplicity_out_of_range_is_zero():
     assert comb.multiplicity(4, 9) == 0
 
 
+def _class_size(n, m):
+    """Magnitude-n trees with m second-order branches: each of the c_{m-1}
+    magnitude-m trees has multiplicity(n, m) preimages."""
+    return comb.multiplicity(n, m) * comb.catalan(m - 1)
+
+
 def test_class_size_examples():
-    assert comb.class_size(5, 2) == 6
-    assert comb.class_size(5, 1) == 8
-    assert sum(comb.class_size(5, m) for m in range(1, 3)) == 14
+    assert _class_size(5, 2) == 6
+    assert _class_size(5, 1) == 8
+    assert sum(_class_size(5, m) for m in range(1, 3)) == 14
+    for n in range(2, 10):
+        tally = Counter(branch_counts(t).s(2) for t in enumerate_trees(n))
+        assert tally == {m: _class_size(n, m) for m in range(1, n // 2 + 1)}
 
 
 def test_class_sizes_partition_all_shapes():
     for n in range(2, 65):
-        total = sum(comb.class_size(n, m) for m in range(1, n // 2 + 1))
+        total = sum(_class_size(n, m) for m in range(1, n // 2 + 1))
         assert total == comb.catalan(n - 1)
-
-
-def test_multiplicity_class_size_relation():
-    for n in range(2, 40):
-        for m in range(1, n // 2 + 1):
-            assert comb.multiplicity(n, m) == comb.class_size(n, m) // comb.catalan(
-                m - 1
-            )
 
 
 def test_exact_weights_examples():

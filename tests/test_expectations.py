@@ -25,7 +25,7 @@ RATIO = parse("S2/S1")
 
 def _fraction_expectation(n, r, f, memo):
     """Reference: the probability-domain recursion in Fractions, one exact
-    weight row w(n, m) = class_size(n, m) / c_{n-1} per step."""
+    weight row w(n, m) = multiplicity(n, m) c_{m-1} / c_{n-1} per step."""
     key = (n, r, f.text)
     if key not in memo:
         if n == 1:
