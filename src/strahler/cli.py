@@ -65,11 +65,14 @@ def _emit(rows: list, args):
 
 
 def _write(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write --out {out_path}: {err.strerror}") from None
 
 
 class _UsageError(Exception):
@@ -204,14 +207,15 @@ def cmd_dist(args) -> int:
 def cmd_sample(args) -> int:
     engine = _engine(args)
     f = _observable(args)
+    modes = {n: engine.mode_for(n, args.mode) for n in _grid(args)}
+    # Every reference before any sampling, so one that cannot be had fails fast.
+    references = {n: engine.expectation(n, args.r, f, mode) for n, mode in modes.items()}
     rows = []
-    for n in _grid(args):
+    for n, mode in modes.items():
         cfg = sampling.SampleConfig(
             n=n, trials=args.trials, seed=args.seed, f=f, r=args.r
         )
         result = sampling.monte_carlo(cfg)
-        mode = engine.mode_for(n, args.mode)
-        reference = engine.expectation(n, args.r, f, mode)
         rows.append(
             {
                 "n": n,
@@ -221,7 +225,7 @@ def cmd_sample(args) -> int:
                 "seed": args.seed,
                 "mean": f"{result.mean:.12g}",
                 "stderr": "" if result.stderr is None else f"{result.stderr:.12g}",
-                "reference": _decimal12(reference),
+                "reference": _decimal12(references[n]),
                 "mode": mode,
             }
         )

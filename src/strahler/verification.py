@@ -85,7 +85,10 @@ def chi_square_p_value(observed: Sequence[int]) -> float:
 def check_oracle_equivalence(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> CheckResult:
-    """1: exact recursion equals brute-force enumeration over the battery."""
+    """1: the exact kernel recursion equals the oracle over the battery. The
+    oracle averages over the profile multiset of all c_{n-1} shapes, tallied
+    by root split with the Horton-Strahler join rule, not through the
+    kernel."""
     t0 = time.time()
     top = min(12, max_n or 12, engine.enumeration_limit)
     battery = [parse(text) for text in ORACLE_BATTERY]

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strahler import cli, verification
+from strahler import cli, sampling, verification
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +334,35 @@ def test_exit_code_resource_limit(capsys):
         capsys, "expect", "--n", "400", "--mode", "exact", "--max-n", "400"
     )
     assert code == 0
+
+
+def test_sample_fails_fast_without_a_reference(capsys, monkeypatch):
+    # No magnitude of the grid is sampled when one reference cannot be had.
+    def never(cfg):
+        raise AssertionError(f"sampled n={cfg.n} before every reference")
+
+    monkeypatch.setattr(sampling, "monte_carlo", never)
+    for magnitudes in (["--n", "400"], ["--n-grid", "10,400"]):
+        code, out, err = run_cli(
+            capsys, "sample", *magnitudes, "--mode", "exact", "--trials", "20000",
+            "--r", "2",
+        )
+        assert code == 3, magnitudes
+        assert out == ""
+        assert "exact-mode limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv", (["expect", "--n", "5"], ["verify", "--max-n", "4", "--trials", "50"])
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "table"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"error: cannot write --out {target}: No such file or directory"
+    )
 
 
 def test_verify_reduced_run_reports_known_failures(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from strahler.expectations import (
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
+    _join,
 )
 from strahler.observables import NonzeroOverZeroError, parse
 
@@ -117,6 +119,27 @@ def test_bruteforce_examples(engine):
         assert engine.expectation_bruteforce(n, 1, S1) == n
 
 
+def test_join_rule_by_hand():
+    # Unequal root orders: the larger order runs on, the counts add.
+    assert _join((1,), (2, 1)) == (3, 1)
+    assert _join((4, 2, 1), (2, 1)) == (6, 3, 1)
+    # Equal root orders r: both root branches end and one order-(r+1) branch starts.
+    assert _join((1,), (1,)) == (2, 1)
+    assert _join((2, 1), (3, 1)) == (5, 2, 1)
+    assert _join((4, 2, 1), (5, 2, 1)) == (9, 4, 2, 1)
+
+
+def test_profile_tally_matches_per_shape_tally():
+    # Two independent statements of the Horton-Strahler rule: the root-split
+    # join of profiles and the order labelling of each enumerated tree.
+    engine = ExpectationEngine()
+    for n in range(1, 12):
+        assert engine.profile_counts(n) == Counter(
+            trees.branch_counts(t).counts for t in trees.enumerate_trees(n)
+        ), n
+    assert engine.profile_counts(4) == {(4, 1): 4, (4, 2, 1): 1}
+
+
 def test_bruteforce_respects_enumeration_limit():
     small = ExpectationEngine(enumeration_limit=6)
     with pytest.raises(LimitExceededError):
@@ -131,7 +154,7 @@ def test_exact_examples(engine):
 
 def test_exact_matches_bruteforce_battery(engine):
     battery = [parse(t) for t in ("S1", "S1^2", "S2/S1", "S1*S2", "(S1-1)*S1")]
-    for n in range(1, 10):
+    for n in range(1, trees.DEFAULT_ENUMERATION_LIMIT + 1):
         for r in (1, 2, 3, 4):
             for f in battery:
                 assert engine.expectation_exact(n, r, f) == (
@@ -260,8 +283,6 @@ def test_distribution_float_mode(engine):
 def test_distribution_matches_bruteforce(engine):
     for n in range(1, 9):
         for r in (1, 2, 3):
-            from collections import Counter
-
             tally = Counter(
                 trees.branch_counts(t).s(r) for t in trees.enumerate_trees(n)
             )
