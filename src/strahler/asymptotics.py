@@ -10,11 +10,13 @@ that through the magnitude recursion gives per-order coefficients
 (base order r0 is where the initial data holds; shifted starts feed the
 variance pipeline). The two-term expansion of the expectation at order r is
 
-    (n/4^(r-r0))^k * { a1 + (1/n) * (4^(r-r0)*b1 + ((4^(r-r0)-1)/6)*k^2*a1) }
+    a_r*n^k + b_r*n^(k-1)
 
-and the matching bifurcation-ratio truncation is
+and the matching bifurcation-ratio truncation, the quotient of orders r and
+r + 1 to O(1/n), is
 
-    4^k - 4^(k+r-r0) * (6*b1 + a1*k^2) / (2*a1*n),
+    (a_r/a_{r+1}) * (1 + (b_r/a_r - b_{r+1}/a_{r+1}) / n)
+      = 4^k - 4^(k+r-r0) * (6*b1 + a1*k^2) / (2*a1*n),
 
 whose limit 4^k depends only on the dominant order: the generalized
 topological self-similarity statement. All evaluation is exact-rational so
@@ -114,21 +116,18 @@ def general_recurrence_closed_form(
 def expectation_asymptotic(
     init: AsymptoticCoeffs, r: int, n: int, leading_only: bool = False
 ) -> Fraction:
-    """Two-term expansion of the expectation at order r and magnitude n.
+    """Two-term expansion a_r n^k + b_r n^(k-1) of the expectation at order r
+    and magnitude n.
 
     With ``leading_only`` the O(n^k) truncation a_r * n^k is returned.
     """
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
-    d = r - init.r0
-    if d < 0:
-        raise ValueError(f"order {r} precedes the initial order {init.r0}")
-    k = init.k
-    scale = Fraction(n, 4**d) ** k
+    coeffs = coeff_recursion(init, r)
+    leading = coeffs.a_r * Fraction(n) ** init.k
     if leading_only:
-        return scale * init.a1
-    correction = Fraction(4**d) * init.b1 + Fraction(4**d - 1, 6) * k * k * init.a1
-    return scale * (init.a1 + Fraction(correction, n))
+        return leading
+    return leading + coeffs.b_r * Fraction(n) ** (init.k - 1)
 
 
 class RatioExpansion(NamedTuple):
@@ -139,16 +138,17 @@ class RatioExpansion(NamedTuple):
 
 
 def ratio_asymptotic(init: AsymptoticCoeffs, r: int, n: int) -> RatioExpansion:
-    """Truncated bifurcation ratio at order r; the limit component is 4^k."""
+    """Truncated bifurcation ratio at order r, the quotient of the order-r and
+    order-(r+1) expansions to O(1/n):
+    (a_r/a_{r+1}) (1 + (b_r/a_r - b_{r+1}/a_{r+1})/n). Its limit component
+    a_r/a_{r+1} is 4^k."""
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
-    d = r - init.r0
-    if d < 0:
-        raise ValueError(f"order {r} precedes the initial order {init.r0}")
-    k = init.k
-    limit = Fraction(4) ** k
-    slope = Fraction(4) ** (k + d) * (6 * init.b1 + init.a1 * k * k) / (2 * init.a1)
-    return RatioExpansion(limit - slope / n, limit)
+    this, above = coeff_recursion(init, r), coeff_recursion(init, r + 1)
+    limit = this.a_r / above.a_r
+    return RatioExpansion(
+        limit * (1 + (this.b_r / this.a_r - above.b_r / above.a_r) / n), limit
+    )
 
 
 # -- empirical extraction and convergence measurement --------------------------

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -75,6 +77,22 @@ def _write(text: str, out_path):
         raise _UsageError(f"cannot write --out {out_path}: {err.strerror}") from None
 
 
+def _check_out(out_path):
+    """Raise the usage error ``_write`` would raise for a missing or
+    unwritable directory, an unwritable file or a directory, before any work
+    is done; the file is neither created nor truncated."""
+    directory = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(out_path if os.path.exists(out_path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _UsageError(f"cannot write --out {out_path}: {os.strerror(code)}")
+
+
 class _UsageError(Exception):
     pass
 
@@ -110,9 +128,7 @@ def _positive_int(text: str) -> int:
 
 
 def _engine(args) -> ExpectationEngine:
-    exact_limit = args.max_n if args.max_n else DEFAULT_EXACT_LIMIT
-    enum_limit = max(DEFAULT_ENUMERATION_LIMIT, args.max_n or 0)
-    return ExpectationEngine(enumeration_limit=enum_limit, exact_limit=exact_limit)
+    return ExpectationEngine(exact_limit=args.max_n or DEFAULT_EXACT_LIMIT)
 
 
 def _observable(args):
@@ -234,12 +250,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    engine = _engine(args)
+    limit = max(DEFAULT_ENUMERATION_LIMIT, args.max_n or 0)
     rows = []
     for n in _grid(args):
-        for index, tree in enumerate(
-            trees_mod.enumerate_trees(n, engine.enumeration_limit)
-        ):
+        for index, tree in enumerate(trees_mod.enumerate_trees(n, limit)):
             profile = trees_mod.branch_counts(tree)
             rows.append(
                 {
@@ -393,6 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -32,9 +32,11 @@ key (mode, canonical text of the possibly rebound observable, level), so
 results do not depend on call order. A fill assigns a longer table under
 its key and never mutates one; every entry is a pure function of the key
 and its magnitude, which keeps concurrent use safe under the usual dict
-atomicity. An error of f at the all-zeros window (magnitude 0) is raised
-only by a row that weights magnitude 0, as the oracle raises it only where
-a tree has that window. Float results are deterministic from run to run.
+atomicity. Magnitudes below 2 are read off their window, (n, 0, ...) at
+order 1 and all zeros above; every other entry is one kernel step. No row of
+magnitude >= 2 weights magnitude 0, so a table's magnitude-0 slot is a zero
+and f is evaluated only at windows some tree has, as the oracle evaluates
+it. Float results are deterministic from run to run.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import zip_longest
 from typing import Callable, NamedTuple
 
@@ -91,18 +92,12 @@ class _Arithmetic(NamedTuple):
 class ExpectationEngine:
     """Exact and floating expectation queries over shared level tables.
 
-    ``enumeration_limit`` caps the magnitude of oracle queries, the same
-    ceiling the command line puts on shape enumeration; ``exact_limit`` caps
-    exact recursion, beyond which auto mode falls back to floats with a
-    warning.
+    ``exact_limit`` caps exact recursion, beyond which auto mode falls back
+    to floats with a warning. Oracle queries are capped at the default
+    shape-enumeration ceiling, ``trees.DEFAULT_ENUMERATION_LIMIT``.
     """
 
-    def __init__(
-        self,
-        enumeration_limit: int = trees_mod.DEFAULT_ENUMERATION_LIMIT,
-        exact_limit: int = DEFAULT_EXACT_LIMIT,
-    ):
-        self.enumeration_limit = enumeration_limit
+    def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT):
         self.exact_limit = exact_limit
         self._profiles: dict[int, Counter] = {}
         self._tables: dict = {}
@@ -118,9 +113,10 @@ class ExpectationEngine:
         shapes with a magnitude-k left subtree. Magnitudes are filled in
         ascending order, each assigned once.
         """
-        if n > self.enumeration_limit:
+        if n > trees_mod.DEFAULT_ENUMERATION_LIMIT:
             raise LimitExceededError(
-                f"magnitude {n} exceeds the enumeration limit {self.enumeration_limit}"
+                f"magnitude {n} exceeds the enumeration limit "
+                f"{trees_mod.DEFAULT_ENUMERATION_LIMIT}"
             )
         profiles = self._profiles
         for size in range(len(profiles) + 1, n + 1):
@@ -160,46 +156,37 @@ class ExpectationEngine:
     def _expect(self, arith: _Arithmetic, n: int, r: int, f: Observable):
         """The entry V_r(n) of f; only the levels below r are stored."""
         r = min(r, n.bit_length() + 1)  # past this order every window is all zeros
-        if r == 1:
-            return self._first(arith, f, n)
-        return _step(arith, n, *self._level(arith, f, r - 1, n // 2))
+        below = self._level(arith, f, r - 1, n // 2) if r > 1 else None
+        return self._entry(arith, f, r, n, below)
 
     def _level(self, arith: _Arithmetic, f: Observable, j: int, top: int):
-        """The level-j table of f over magnitudes 0..top, and the error f
-        raises at magnitude 0 (the all-zeros window) or None. Only rows below
-        magnitude 2 weight magnitude 0, so that error waits for ``_step``;
-        every other entry a fill computes is one its query weights."""
+        """The level-j table of f over magnitudes 0..top; its magnitude-0 slot
+        is a zero that no entry of magnitude >= 2 weights."""
         key = (arith, f.text, j)
-        table, undefined = self._tables.get(key, ((), None))
+        table = self._tables.get(key, ())
         done = len(table)
         if done > top:
-            return table, undefined
-        if j > 1:
-            below, undefined = self._level(arith, f, j - 1, top // 2)
-            entry = partial(_step, arith, below=below, undefined=undefined)
-        else:
-            entry = partial(self._first, arith, f)
-        fresh = []
-        if done == 0:
-            try:
-                fresh.append(entry(0))
-            except ArithmeticError as exc:
-                fresh.append(arith.leaf(0))
-                undefined = exc
-        fresh += [entry(m) for m in range(done + len(fresh), top + 1)]
+            return table
+        below = self._level(arith, f, j - 1, top // 2) if j > 1 else None
+        fresh = [arith.leaf(0)] if done == 0 else []
+        fresh += [self._entry(arith, f, j, m, below) for m in range(max(done, 1), top + 1)]
         fresh = np.array(fresh, dtype=arith.dtype)
         table = fresh if done == 0 else np.concatenate((table, fresh))
-        self._tables[key] = (table, undefined)
-        return table, undefined
+        self._tables[key] = table
+        return table
 
-    def _first(self, arith: _Arithmetic, f: Observable, n: int):
-        """The level-1 entry V_1(n) of f."""
-        if f.arity == 1 or n < 2:
-            # The whole window is (n, 0, ...): S_1 = n, and magnitudes below
-            # 2 have nothing above order 1. This also bounds the binding chain.
-            window = (n,) + (0,) * (f.arity - 1)
+    def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below):
+        """The entry V_j(n) of f, given the level below when j > 1. A magnitude
+        below 2, or order 1 of a one-variable f, is f at its window; every
+        other entry is one kernel step K(n, .) . (level below), and at order
+        1 that is the step over f with its first variable bound to n."""
+        if n < 2 or (j == 1 and f.arity == 1):
+            window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
             return arith.leaf(arith.scale(n) * f.evaluate(window))
-        return _step(arith, n, *self._level(arith, f.bind_first(n), 1, n // 2))
+        if j == 1:
+            below = self._level(arith, f.bind_first(n), 1, n // 2)
+        row = arith.row(n)
+        return arith.settle(n, row @ below[: len(row)])
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """Dispatch by mode; auto switches to float past the exact ceiling."""
@@ -299,15 +286,6 @@ def _join(a: tuple, b: tuple) -> tuple:
     branches at the node, which starts one branch of order r + 1."""
     joined = tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
     return joined + (1,) if len(a) == len(b) else joined
-
-
-def _step(arith: _Arithmetic, n: int, below, undefined=None):
-    """One backward kernel step: the entry K(n, .) . (level below), or the
-    level's magnitude-0 error if the row gives that entry weight."""
-    row = arith.row(n)
-    if undefined is not None and row[0]:
-        raise undefined.with_traceback(None)
-    return arith.settle(n, row @ below[: len(row)])
 
 
 def _integral(value: Fraction):

@@ -1,13 +1,14 @@
 """One-shot verification suite: every acceptance check, pass/fail.
 
 Every check takes (engine, max_n=None, trials=SAMPLER_TRIALS) and returns
-a CheckResult; ``run_all`` executes them in order. ``max_n`` clamps every
-magnitude grid (for a reduced, faster run) and ``trials`` caps the sampler
-checks; a check ignores the arguments it has no use for. The checks assert
-the documented tolerances exactly as stated; nothing is loosened to force a
-pass, so a check can legitimately come back red if its stated tolerance is
-tighter than the mathematics allows (see the horton-law and moment-ratio
-notes in the project README).
+its failure texts and the detail a pass reports; ``run_all`` runs them in
+order, names and times each, and reports a failing one by its first four
+failures. ``max_n`` clamps every magnitude grid (for a reduced, faster run)
+and ``trials`` caps the sampler checks; a check ignores the arguments it
+has no use for. The checks assert the documented tolerances exactly as
+stated; nothing is loosened to force a pass, so a check can legitimately
+come back red if its stated tolerance is tighter than the mathematics
+allows (see the horton-law and moment-ratio notes in the project README).
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ class CheckResult:
     seconds: float
 
 
-def _result(name: str, failures: list, detail: str, t0: float) -> CheckResult:
-    if failures:
-        shown = "; ".join(failures[:4])
-        if len(failures) > 4:
-            shown += f"; ... ({len(failures)} failures total)"
-        return CheckResult(name, False, shown, time.time() - t0)
-    return CheckResult(name, True, detail, time.time() - t0)
-
-
 def chi2_sf(x: float, df: int) -> float:
     """P(X >= x) for X chi-square with a positive integer number df of
     degrees of freedom: the upper regularised gamma Q(df/2, x/2) in closed
@@ -84,13 +76,12 @@ def chi_square_p_value(observed: Sequence[int]) -> float:
 
 def check_oracle_equivalence(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """1: the exact kernel recursion equals the oracle over the battery. The
     oracle averages over the profile multiset of all c_{n-1} shapes, tallied
     by root split with the Horton-Strahler join rule, not through the
     kernel."""
-    t0 = time.time()
-    top = min(12, max_n or 12, engine.enumeration_limit)
+    top = min(12, max_n or 12)
     battery = [parse(text) for text in ORACLE_BATTERY]
     failures = []
     cases = 0
@@ -102,19 +93,13 @@ def check_oracle_equivalence(
                 rhs = engine.expectation_bruteforce(n, r, f)
                 if lhs != rhs:
                     failures.append(f"n={n} r={r} f={f}: {lhs} != {rhs}")
-    return _result(
-        "oracle-equivalence",
-        failures,
-        f"{cases} queries agree exactly (n <= {top}, r <= 4)",
-        t0,
-    )
+    return failures, f"{cases} queries agree exactly (n <= {top}, r <= 4)"
 
 
 def check_multiplicity(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """2: preimage generator yields exactly mu(n, m) trees, all mapping back."""
-    t0 = time.time()
     top = min(10, max_n or 10)
     failures = []
     cases = 0
@@ -138,16 +123,13 @@ def check_multiplicity(
                     )
     if comb.multiplicity(5, 2) != 6:
         failures.append("mu(5,2) != 6")
-    return _result(
-        "multiplicity", failures, f"{cases} (tau, n) classes match exactly", t0
-    )
+    return failures, f"{cases} (tau, n) classes match exactly"
 
 
 def check_werner_closed_forms(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """3: Werner's mean and variance closed forms hold exactly for 4 <= n <= 200."""
-    t0 = time.time()
     top = min(200, max_n or 200, engine.exact_limit)
     s1 = parse("S1")
     failures = []
@@ -161,16 +143,13 @@ def check_werner_closed_forms(
         )
         if var != expected:
             failures.append(f"variance mismatch at n={n}")
-    return _result(
-        "werner-closed-forms", failures, f"exact identities hold for 4 <= n <= {top}", t0
-    )
+    return failures, f"exact identities hold for 4 <= n <= {top}"
 
 
 def check_horton_law(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """4: exact first-order ratio identity, float residual bounds, slope."""
-    t0 = time.time()
     s1 = parse("S1")
     failures = []
     exact_top = min(300, max_n or 300, engine.exact_limit)
@@ -195,19 +174,13 @@ def check_horton_law(
     slope_text = ", ".join(
         f"r={r}: {s:.2f}" if s is not None else f"r={r}: n/a" for r, s in slopes.items()
     )
-    return _result(
-        "horton-law",
-        failures,
-        f"exact identity to n={exact_top}; residual slopes {slope_text}",
-        t0,
-    )
+    return failures, f"exact identity to n={exact_top}; residual slopes {slope_text}"
 
 
 def check_moment_ratio_law(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """5: moment-ratio truncation bound and exact 4^k limit column."""
-    t0 = time.time()
     failures = []
     grid = [n for n in MOMENT_RATIO_GRID if max_n is None or n <= max(max_n, 500)]
     for k in (1, 2, 3):
@@ -226,16 +199,13 @@ def check_moment_ratio_law(
                         f"k={k} r={r} n={n}: |residual| = {abs(ratio - predicted):.3g} "
                         f"> {bound:.3g}"
                     )
-    return _result(
-        "moment-ratio-law", failures, f"bounds hold on n in {tuple(grid)}", t0
-    )
+    return failures, f"bounds hold on n in {tuple(grid)}"
 
 
 def check_expansion_reproduction(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """6: the two-term expansion reproduces the known mean and moment forms."""
-    t0 = time.time()
     failures = []
     init = asym.AsymptoticCoeffs(k=1, a1=Fraction(1), b1=Fraction(0))
     ns = [n for n in EXPANSION_SAMPLE_NS if max_n is None or n <= max(max_n, 10)]
@@ -255,19 +225,13 @@ def check_expansion_reproduction(
                 )
                 if lhs != rhs:
                     failures.append(f"moment expansion mismatch k={k} r={r} n={n}")
-    return _result(
-        "expansion-reproduction",
-        failures,
-        f"exact rational identities at {len(ns)} sampled magnitudes",
-        t0,
-    )
+    return failures, f"exact rational identities at {len(ns)} sampled magnitudes"
 
 
 def check_ratio_identity(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """7: E[S2/S1] equals E[S2]/E[S1] exactly; one order up it decays as n^-2."""
-    t0 = time.time()
     failures = []
     ratio = parse("S2/S1")
     s1 = parse("S1")
@@ -292,19 +256,15 @@ def check_ratio_identity(
     # A clamped single-point grid or exactly vanishing differences fit no
     # slope; neither contradicts the decay claim.
     slope_text = f"{slope:.2f}" if slope is not None else "n/a"
-    return _result(
-        "ratio-identity",
-        failures,
-        f"exact identity at n in {tuple(grid)}; r=2 difference slope {slope_text}",
-        t0,
+    return failures, (
+        f"exact identity at n in {tuple(grid)}; r=2 difference slope {slope_text}"
     )
 
 
 def check_variance_pipeline(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """8: the order-3 variance report with residual diagnostics is produced."""
-    t0 = time.time()
     grid = [n for n in VARIANCE_GRID if max_n is None or n <= max(max_n, 100)]
     report = asym.variance_pipeline_report(engine, grid)
     failures = []
@@ -325,14 +285,13 @@ def check_variance_pipeline(
         f"total-variance {float(report.total_variance_a):.5f}; data supports "
         f"{report.supported} (max rel residual {report.max_rel_residual:.4f})"
     )
-    return _result("variance-pipeline", failures, detail, t0)
+    return failures, detail
 
 
 def check_sampler(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """9: chi-square shape uniformity at n=6; Monte Carlo mean against exact."""
-    t0 = time.time()
     failures = []
     shapes = list(trees_mod.enumerate_trees(6))
     tally = Counter(
@@ -356,20 +315,16 @@ def check_sampler(
             f"({result.stderr}) of {reference:.5f}"
         )
     se_text = f"{result.stderr:.4f}" if result.stderr is not None else "n/a"
-    return _result(
-        "sampler",
-        failures,
+    return failures, (
         f"p = {p_value:.4f}; MC mean {result.mean:.4f} vs {reference:.4f} "
-        f"(stderr {se_text}, {trials} trials)",
-        t0,
+        f"(stderr {se_text}, {trials} trials)"
     )
 
 
 def check_distribution_normalization(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
-) -> CheckResult:
+) -> tuple:
     """10: exact distributions sum to one and their means match the engine."""
-    t0 = time.time()
     top = min(100, max_n or 100, engine.exact_limit)
     s1 = parse("S1")
     failures = []
@@ -381,12 +336,7 @@ def check_distribution_normalization(
             mean = sum(s * prob for s, prob in dist.items())
             if mean != engine.expectation_exact(n, r, s1):
                 failures.append(f"n={n} r={r}: distribution mean mismatch")
-    return _result(
-        "distribution-normalization",
-        failures,
-        f"exact normalization and mean identity for n <= {top}, r <= 5",
-        t0,
-    )
+    return failures, f"exact normalization and mean identity for n <= {top}, r <= 5"
 
 
 CHECKS: dict[str, Callable] = {
@@ -412,10 +362,15 @@ def run_all(
     """Run the named checks (default: all ten) and return their results."""
     if engine is None:
         engine = ExpectationEngine(exact_limit=max(1000, max_n or 0))
-    selected = names or list(CHECKS)
     results = []
-    for name in selected:
+    for name in names or CHECKS:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
-        results.append(CHECKS[name](engine, max_n, trials))
+        t0 = time.time()
+        failures, detail = CHECKS[name](engine, max_n, trials)
+        if failures:
+            detail = "; ".join(failures[:4])
+            if len(failures) > 4:
+                detail += f"; ... ({len(failures)} failures total)"
+        results.append(CheckResult(name, not failures, detail, time.time() - t0))
     return results

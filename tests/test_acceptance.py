@@ -1,15 +1,17 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
-line per criterion. The checks live in strahler.verification so the CLI
-``verify`` subcommand runs the identical suite.
+line per criterion. The criteria are ``strahler.verification.CHECKS``,
+numbered by position, so the CLI ``verify`` subcommand runs the identical
+suite and a check added or renamed there is gated here too.
 
 Two checks are expected to come out red on correctness grounds: the stated
 O(n^-2) tolerance constants in the horton-law check (order 3) and the
 moment-ratio check (k=3 with base order 2) are tighter than the true
-second-order coefficients, which this package measures in exact rational
-arithmetic (roughly 470-580 and 310-320 against allowances of 50 and 100).
-The checks assert the stated bounds anyway; see README for the analysis.
+second-order coefficients, which this package derives exactly and checks
+against exact rational ratios: 432 and 321, against allowances of 50 and
+100. The checks assert the stated bounds anyway; see README for the
+analysis.
 """
 
 import pytest
@@ -17,18 +19,7 @@ import pytest
 from strahler import verification
 from strahler.expectations import ExpectationEngine
 
-CRITERIA = [
-    ("1", "oracle-equivalence"),
-    ("2", "multiplicity"),
-    ("3", "werner-closed-forms"),
-    ("4", "horton-law"),
-    ("5", "moment-ratio-law"),
-    ("6", "expansion-reproduction"),
-    ("7", "ratio-identity"),
-    ("8", "variance-pipeline"),
-    ("9", "sampler"),
-    ("10", "distribution-normalization"),
-]
+CRITERIA = list(enumerate(verification.CHECKS, start=1))
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +28,9 @@ def engine():
     return ExpectationEngine(exact_limit=1000)
 
 
-@pytest.mark.parametrize("number,name", CRITERIA, ids=[c[1] for c in CRITERIA])
+@pytest.mark.parametrize("number,name", CRITERIA, ids=[name for _, name in CRITERIA])
 def test_acceptance_criterion(engine, number, name):
-    result = verification.CHECKS[name](engine, None, verification.SAMPLER_TRIALS)
+    (result,) = verification.run_all(engine, None, verification.SAMPLER_TRIALS, [name])
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number} ({name}): {status} [{result.seconds:.1f}s] {result.detail}")
     assert result.passed, f"criterion {number} ({name}): {result.detail}"

@@ -353,9 +353,20 @@ def test_sample_fails_fast_without_a_reference(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", (["expect", "--n", "5"], ["verify", "--max-n", "4", "--trials", "50"])
+    "argv",
+    (
+        ["expect", "--n", "5"],
+        ["verify", "--max-n", "4", "--trials", "50"],
+        ["sample", "--n", "400"],
+    ),
 )
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # --out is checked before any work: neither the checks nor the sampler run.
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(verification, "run_all", never)
+    monkeypatch.setattr(sampling, "monte_carlo", never)
     target = tmp_path / "missing" / "table"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     assert code == 2
@@ -363,6 +374,22 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     assert err.splitlines()[-1] == (
         f"error: cannot write --out {target}: No such file or directory"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_check_creates_and_truncates_nothing(capsys, tmp_path):
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    kept.write_text("earlier table\n")
+    for target in (kept, fresh):
+        code, _, err = run_cli(
+            capsys, "expect", "--n", "5", "--f", "1/(S1-5)", "--out", str(target)
+        )
+        assert code == 1, err
+    assert kept.read_text() == "earlier table\n"
+    assert not fresh.exists()
+    code, _, err = run_cli(capsys, "expect", "--n", "5", "--out", str(tmp_path))
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: cannot write --out {tmp_path}: Is a directory"
 
 
 def test_verify_reduced_run_reports_known_failures(capsys):
@@ -381,7 +408,7 @@ def test_verify_reduced_run_reports_known_failures(capsys):
 
 def test_verify_corruption_hook_names_failing_check(capsys, monkeypatch):
     def broken(engine, max_n, trials):
-        return verification.CheckResult("multiplicity", False, "induced corruption", 0.0)
+        return ["induced corruption"], "unreachable on failure"
 
     monkeypatch.setitem(verification.CHECKS, "multiplicity", broken)
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--trials", "500")

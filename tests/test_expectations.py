@@ -12,7 +12,8 @@ from strahler.expectations import (
     LimitExceededError,
     _join,
 )
-from strahler.observables import NonzeroOverZeroError, parse
+from strahler.observables import NonzeroOverZeroError, Observable, parse
+from strahler.verification import HORTON_FLOAT_GRID, MOMENT_RATIO_GRID
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +141,10 @@ def test_profile_tally_matches_per_shape_tally():
     assert engine.profile_counts(4) == {(4, 1): 4, (4, 2, 1): 1}
 
 
-def test_bruteforce_respects_enumeration_limit():
-    small = ExpectationEngine(enumeration_limit=6)
-    with pytest.raises(LimitExceededError):
-        small.expectation_bruteforce(7, 1, S1)
+def test_bruteforce_respects_enumeration_limit(engine):
+    top = trees.DEFAULT_ENUMERATION_LIMIT
+    with pytest.raises(LimitExceededError, match=f"enumeration limit {top}$"):
+        engine.expectation_bruteforce(top + 1, 1, S1)
 
 
 def test_exact_examples(engine):
@@ -181,6 +182,39 @@ def test_dividing_observables_match_bruteforce(engine):
                 est = engine.expectation_float(n, r, f)
                 error = abs(Fraction(est.value) - expected)
                 assert error <= Fraction(est.rel_error_bound) * abs(expected), (text, r, n)
+
+
+def test_no_evaluation_error_is_swallowed(monkeypatch):
+    # f is evaluated only at windows some tree of the query has, so a query
+    # that answers met no ArithmeticError on the way.
+    raised = []
+    evaluate = Observable.evaluate
+
+    def recording(self, window):
+        try:
+            return evaluate(self, window)
+        except ArithmeticError as exc:
+            raised.append((self.text, window, exc))
+            raise
+
+    monkeypatch.setattr(Observable, "evaluate", recording)
+    answered = 0
+    for text in ("S1/S2", "1/S2", "1/S1", "1/S3", "1/(S1-3)", "S2/S3", "1/(S1-S2)"):
+        f = parse(text)
+        for name in ("expectation_exact", "expectation_float"):
+            for r in range(1, 5):
+                for n in range(1, 41):
+                    # A fresh engine, so no table filled by an earlier query
+                    # hides an evaluation.
+                    query = getattr(ExpectationEngine(), name)
+                    raised.clear()
+                    try:
+                        query(n, r, f)
+                    except ArithmeticError:
+                        continue
+                    answered += 1
+                    assert raised == [], (name, text, r, n, raised[0])
+    assert answered == 702
 
 
 def test_exact_limit_guard():
@@ -242,6 +276,21 @@ def test_float_error_bound_holds_against_exact(engine):
                 assert math.isfinite(est.rel_error_bound), (text, r, n)
                 error = abs(Fraction(est.value) - exact)
                 assert error <= Fraction(est.rel_error_bound) * abs(exact), (text, r, n)
+
+
+def test_float_error_bound_holds_on_the_float_grids():
+    # The horton grid at r <= 3 and the moment-ratio grid, as far as exact
+    # values are affordable: |float - exact| <= rel_error_bound * |exact|.
+    engine = ExpectationEngine(exact_limit=2512)
+    horton = [n for n in HORTON_FLOAT_GRID if n <= 2512]
+    cases = [(S1, r, n) for r in (1, 2, 3) for n in horton]
+    cases += [(parse(f"S1^{k}"), r, n) for k in (1, 2, 3) for r in (1, 2, 3)
+              for n in MOMENT_RATIO_GRID]
+    for f, r, n in cases:
+        exact = engine.expectation_exact(n, r, f)
+        est = engine.expectation_float(n, r, f)
+        error = abs(Fraction(est.value) - exact)
+        assert error <= Fraction(est.rel_error_bound) * abs(exact), (f.text, r, n)
 
 
 def test_float_distribution_lists_only_nonzero_probabilities(engine):
