@@ -66,10 +66,6 @@ def laurent_at_infinity(f: Observable) -> AsymptoticCoeffs:
     step of exact series division in 1/n.
     """
     num, den = f.rational_coeffs()
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
     if num == [0]:
         raise ExpansionError("zero numerator polynomial has no Laurent expansion")
     k = (len(num) - 1) - (len(den) - 1)
@@ -93,7 +89,7 @@ def coeff_recursion(init: AsymptoticCoeffs, r: int) -> OrderCoeffs:
         raise ValueError(f"order {r} precedes the initial order {init.r0}")
     d = r - init.r0
     k = init.k
-    u = Fraction(1, 4**k) if k >= 0 else Fraction(4 ** (-k))
+    u = Fraction(1, 4) ** k
     s = Fraction(4) * u  # 1/4^(k-1)
     a_r = u**d * init.a1
     b_r = s**d * init.b1 + Fraction(k * k, 6) * init.a1 * (4**d - 1) * u**d
@@ -113,21 +109,13 @@ def general_recurrence_closed_form(
     return s ** (r - 1) * x1 + t * u * (u ** (r - 1) - s ** (r - 1)) / (u - s)
 
 
-def expectation_asymptotic(
-    init: AsymptoticCoeffs, r: int, n: int, leading_only: bool = False
-) -> Fraction:
+def expectation_asymptotic(init: AsymptoticCoeffs, r: int, n: int) -> Fraction:
     """Two-term expansion a_r n^k + b_r n^(k-1) of the expectation at order r
-    and magnitude n.
-
-    With ``leading_only`` the O(n^k) truncation a_r * n^k is returned.
-    """
+    and magnitude n."""
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
     coeffs = coeff_recursion(init, r)
-    leading = coeffs.a_r * Fraction(n) ** init.k
-    if leading_only:
-        return leading
-    return leading + coeffs.b_r * Fraction(n) ** (init.k - 1)
+    return coeffs.a_r * Fraction(n) ** init.k + coeffs.b_r * Fraction(n) ** (init.k - 1)
 
 
 class RatioExpansion(NamedTuple):
@@ -155,39 +143,48 @@ def ratio_asymptotic(init: AsymptoticCoeffs, r: int, n: int) -> RatioExpansion:
 
 
 def fit_initial_coeffs(
-    engine: ExpectationEngine,
-    f: Observable,
-    ns: Sequence[int] = (120, 200, 300),
-    r0: int = 1,
+    engine: ExpectationEngine, f: Observable, ns: Sequence[int] = (120, 200, 300)
 ) -> AsymptoticCoeffs:
-    """Estimate (k, a1, b1) from exact expectations at three magnitudes.
+    """Estimate order-1 data (k, a1, b1) from exact expectations at the two
+    largest magnitudes of ``ns``; no other magnitude is evaluated.
 
     Fallback for multivariable observables, where no symbolic Laurent form
-    is available: k is matched from growth between the two largest points,
-    then (a1, b1) solve the two-term model there exactly. The estimates
-    carry O(1/n) contamination; they are for reporting, not identities.
+    is available: k is matched from growth between the two points, then
+    (a1, b1) solve the two-term model there exactly. The estimates carry
+    O(1/n) contamination; they are for reporting, not identities.
     """
     if len(ns) < 2:
         raise ValueError("need at least two magnitudes to fit")
-    ns = sorted(ns)
-    values = [engine.expectation_exact(n, r0, f) for n in ns]
-    v1, v2 = float(values[-2]), float(values[-1])
-    n1, n2 = ns[-2], ns[-1]
+    n1, n2 = sorted(ns)[-2:]
+    e1, e2 = engine.expectation_exact(n1, 1, f), engine.expectation_exact(n2, 1, f)
+    v1, v2 = float(e1), float(e2)
     if v1 == 0 or v2 == 0:
         raise ExpansionError("zero expectation; cannot fit a power law")
     k = round(math.log(abs(v2 / v1)) / math.log(n2 / n1))
-    # Solve a1*n^k + b1*n^(k-1) = value at the two largest points.
-    e1, e2 = values[-2], values[-1]
+    # Solve a1*n^k + b1*n^(k-1) = value at the two points.
     det = Fraction(n1) ** k * Fraction(n2) ** (k - 1) - Fraction(n2) ** k * Fraction(
         n1
     ) ** (k - 1)
     a1 = (e1 * Fraction(n2) ** (k - 1) - e2 * Fraction(n1) ** (k - 1)) / det
     b1 = (e2 * Fraction(n1) ** k - e1 * Fraction(n2) ** k) / det
-    return AsymptoticCoeffs(k=k, a1=a1, b1=b1, r0=r0)
+    return AsymptoticCoeffs(k=k, a1=a1, b1=b1)
+
+
+def _line(xs: Sequence[float], ys: Sequence[float]) -> Optional[tuple]:
+    """Least-squares line y = slope*x + intercept as (slope, intercept), or
+    None when the xs have no spread."""
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        return None
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    return slope, mean_y - slope * mean_x
 
 
 def log_slope(points: Iterable[tuple]) -> Optional[float]:
-    """Least-squares slope of log|y| against log x, ignoring zero y."""
+    """Least-squares slope of log|y| against log x, ignoring a y whose float
+    is zero (one that underflows included)."""
     xs = []
     ys = []
     for x, y in points:
@@ -195,15 +192,8 @@ def log_slope(points: Iterable[tuple]) -> Optional[float]:
         if y > 0:
             xs.append(math.log(float(x)))
             ys.append(math.log(y))
-    if len(xs) < 2:
-        return None
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        return None
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
+    line = _line(xs, ys) if len(xs) >= 2 else None
+    return None if line is None else line[0]
 
 
 @dataclass(frozen=True)
@@ -234,30 +224,25 @@ def convergence_report(
     r: int,
     n_grid: Sequence[int],
     init: Optional[AsymptoticCoeffs] = None,
-    kind: str = "expectation",
 ) -> ConvergenceReport:
-    """Exact-vs-expansion residuals over a magnitude grid, with a fitted slope.
+    """Exact expectations at order r against the two-term expansion over a
+    magnitude grid, with the fitted log-log slope of the residuals.
 
-    ``kind`` selects the expectation expansion (residuals O(n^(k-2))) or the
-    ratio truncation (residuals O(n^-2)); the threshold adds 0.3 of slack.
+    ``init`` defaults to the Laurent data of a single-variable f. The
+    residuals are O(n^(k-2)); the threshold adds 0.3 of slack to k - 2.
+    Every magnitude is evaluated exactly, so one past the engine's exact
+    ceiling raises ``LimitExceededError``.
     """
     if init is None:
         init = laurent_at_infinity(f)
     rows = []
     for n in sorted(n_grid):
-        if kind == "expectation":
-            exact = engine.expectation_exact(n, r, f)
-            approx = expectation_asymptotic(init, r, n)
-        elif kind == "ratio":
-            exact = engine.bifurcation_ratio(n, r, f, mode="exact")
-            approx = ratio_asymptotic(init, r, n).value
-        else:
-            raise ValueError(f"unknown report kind {kind!r}")
+        exact = engine.expectation_exact(n, r, f)
+        approx = expectation_asymptotic(init, r, n)
         rows.append(ConvergenceRow(n, exact, approx, exact - approx))
     slope = log_slope((row.n, row.residual) for row in rows)
-    threshold = (init.k if kind == "expectation" else 0) - 2 + 0.3
     converged = all(row.residual == 0 for row in rows)
-    return ConvergenceReport(tuple(rows), slope, threshold, converged)
+    return ConvergenceReport(tuple(rows), slope, init.k - 2 + 0.3, converged)
 
 
 # -- variance pipeline (flagged verification) -----------------------------------
@@ -270,7 +255,8 @@ class VariancePipelineReport:
     ``pipeline_a`` treats the order-2 variance expansion as initial data and
     pushes it through the coefficient recursion; ``total_variance_a`` adds
     the mixture-variance term that the pipeline drops. The fitted slope of
-    the exact values decides which the data supports.
+    the exact values decides which the data supports; ``supported_a`` is
+    that candidate's coefficient.
     """
 
     rows: tuple  # (n, exact variance) pairs
@@ -279,6 +265,7 @@ class VariancePipelineReport:
     pipeline_a: Fraction
     total_variance_a: Fraction
     supported: str  # "pipeline" | "total_variance"
+    supported_a: Fraction
     max_rel_residual: float
 
 
@@ -289,13 +276,7 @@ def variance_pipeline_report(
     rows = tuple((n, engine.variance(n, 3, mode="exact")) for n in sorted(n_grid))
 
     # Least-squares line v = a*n + b through the exact points.
-    xs = [n for n, _ in rows]
-    ys = [float(v) for _, v in rows]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    fitted_a = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    fitted_b = mean_y - fitted_a * mean_x
+    fitted_a, fitted_b = _line([n for n, _ in rows], [float(v) for _, v in rows])
 
     # Order-2 variance expansion: n/16 - 1/32 + O(1/n), held at order 2.
     var2_init = AsymptoticCoeffs(k=1, a1=Fraction(1, 16), b1=Fraction(-1, 32), r0=2)
@@ -311,9 +292,9 @@ def variance_pipeline_report(
         if abs(fitted_a - float(pipeline_a)) < abs(fitted_a - float(total_variance_a))
         else "total_variance"
     )
-    chosen = pipeline_a if supported == "pipeline" else total_variance_a
+    supported_a = pipeline_a if supported == "pipeline" else total_variance_a
     max_rel = max(
-        abs(float(v) - (float(chosen) * n + fitted_b)) / float(v) for n, v in rows
+        abs(float(v) - (float(supported_a) * n + fitted_b)) / float(v) for n, v in rows
     )
     return VariancePipelineReport(
         rows=rows,
@@ -322,5 +303,6 @@ def variance_pipeline_report(
         pipeline_a=pipeline_a,
         total_variance_a=total_variance_a,
         supported=supported,
+        supported_a=supported_a,
         max_rel_residual=max_rel,
     )

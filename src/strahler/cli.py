@@ -180,7 +180,6 @@ def cmd_ratio(args) -> int:
         mode = engine.mode_for(n, args.mode)
         ratio = engine.bifurcation_ratio(n, args.r, f, mode=mode)
         expansion = asym.ratio_asymptotic(init, args.r, n)
-        residual = float(ratio) - float(expansion.value)
         rows.append(
             {
                 "n": n,
@@ -191,7 +190,7 @@ def cmd_ratio(args) -> int:
                 "asymptotic": str(expansion.value),
                 "asymptotic_decimal": _decimal12(expansion.value),
                 "limit": str(expansion.limit),
-                "residual_decimal": f"{residual:.12g}",
+                "residual_decimal": _decimal12(ratio - expansion.value),
                 "mode": mode,
             }
         )
@@ -274,35 +273,31 @@ def cmd_asympt(args) -> int:
     f = _observable(args)
     init = _ratio_init(engine, f)
     coeffs = asym.coeff_recursion(init, args.r)
-    residual_points = []
+    grid = _grid(args)
+    exact_ns = [n for n in grid if engine.mode_for(n, args.mode) == "exact"]
+    report = asym.convergence_report(engine, f, args.r, exact_ns, init)
+    measured = {row.n: row for row in report.rows}
+    slope = "" if report.fitted_slope is None else f"{report.fitted_slope:.6g}"
     rows = []
-    for n in _grid(args):
+    for n in grid:
         expansion = asym.expectation_asymptotic(init, args.r, n)
-        row = {
-            "n": n,
-            "r": args.r,
-            "f": f.text,
-            "k": init.k,
-            "a_r": str(coeffs.a_r),
-            "b_r": str(coeffs.b_r),
-            "asymptotic": str(expansion),
-            "asymptotic_decimal": _decimal12(expansion),
-            "exact": "",
-            "exact_decimal": "",
-            "residual_decimal": "",
-        }
-        if engine.mode_for(n) == "exact":
-            exact = engine.expectation_exact(n, args.r, f)
-            residual = exact - expansion
-            residual_points.append((n, residual))
-            row["exact"] = str(exact)
-            row["exact_decimal"] = _decimal12(exact)
-            row["residual_decimal"] = _decimal12(residual)
-        rows.append(row)
-    slope = asym.log_slope(residual_points)
-    slope_text = "" if slope is None else f"{slope:.6g}"
-    for row in rows:
-        row["fitted_slope"] = slope_text
+        point = measured.get(n)
+        rows.append(
+            {
+                "n": n,
+                "r": args.r,
+                "f": f.text,
+                "k": init.k,
+                "a_r": str(coeffs.a_r),
+                "b_r": str(coeffs.b_r),
+                "asymptotic": str(expansion),
+                "asymptotic_decimal": _decimal12(expansion),
+                "exact": str(point.exact) if point else "",
+                "exact_decimal": _decimal12(point.exact) if point else "",
+                "residual_decimal": _decimal12(point.residual) if point else "",
+                "fitted_slope": slope,
+            }
+        )
     _emit(rows, args)
     return EXIT_OK
 

@@ -228,9 +228,9 @@ def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:
         except NonzeroOverZeroError:
             raise ProfileEvaluationError(window, cfg.r) from None
 
-    mean = sum(count * values[w] for w, count in sorted(tally.items())) / cfg.trials
+    mean = sum(count * values[w] for w, count in tally.items()) / cfg.trials
     if cfg.trials == 1:
         return MonteCarloResult(float(mean), None, 1)
-    ss = sum(count * (values[w] - mean) ** 2 for w, count in sorted(tally.items()))
+    ss = sum(count * (values[w] - mean) ** 2 for w, count in tally.items())
     stderr = math.sqrt(ss / (cfg.trials - 1) / cfg.trials)
     return MonteCarloResult(float(mean), stderr, cfg.trials)

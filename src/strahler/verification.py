@@ -130,7 +130,7 @@ def check_werner_closed_forms(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> tuple:
     """3: Werner's mean and variance closed forms hold exactly for 4 <= n <= 200."""
-    top = min(200, max_n or 200, engine.exact_limit)
+    top = min(200, max_n or 200)
     s1 = parse("S1")
     failures = []
     for n in range(4, top + 1):
@@ -152,7 +152,7 @@ def check_horton_law(
     """4: exact first-order ratio identity, float residual bounds, slope."""
     s1 = parse("S1")
     failures = []
-    exact_top = min(300, max_n or 300, engine.exact_limit)
+    exact_top = min(300, max_n or 300)
     for n in range(2, exact_top + 1):
         if engine.bifurcation_ratio(n, 1, s1, mode="exact") != 4 - Fraction(2, n - 1):
             failures.append(f"exact R_1 mismatch at n={n}")
@@ -270,13 +270,10 @@ def check_variance_pipeline(
     failures = []
     if len(report.rows) != len(grid):
         failures.append("missing rows")
-    supported_value = (
-        report.pipeline_a if report.supported == "pipeline" else report.total_variance_a
-    )
-    if abs(report.fitted_a - float(supported_value)) > 0.2 * abs(report.fitted_a):
+    if abs(report.fitted_a - float(report.supported_a)) > 0.2 * abs(report.fitted_a):
         failures.append(
             f"fitted coefficient {report.fitted_a:.5f} is not within 20% of the "
-            f"supported prediction {float(supported_value):.5f}"
+            f"supported prediction {float(report.supported_a):.5f}"
         )
     if report.max_rel_residual > 0.05:
         failures.append(f"max relative residual {report.max_rel_residual:.3f} > 5%")
@@ -325,7 +322,7 @@ def check_distribution_normalization(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> tuple:
     """10: exact distributions sum to one and their means match the engine."""
-    top = min(100, max_n or 100, engine.exact_limit)
+    top = min(100, max_n or 100)
     s1 = parse("S1")
     failures = []
     for n in range(1, top + 1):

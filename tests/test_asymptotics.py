@@ -107,10 +107,6 @@ def test_expectation_asymptotic_matches_order_coeffs():
                 assert expansion == direct
 
 
-def test_expectation_asymptotic_leading_truncation():
-    assert asym.expectation_asymptotic(MOON, 3, 80, leading_only=True) == Fraction(5)
-
-
 def test_ratio_asymptotic_examples():
     value = asym.ratio_asymptotic(MOON, 1, 1000)
     assert value.value == Fraction(3998, 1000)
@@ -156,13 +152,26 @@ def test_fit_initial_coeffs_recovers_ratio_data(engine):
     assert abs(float(fitted.b1) - 0.125) < 0.05
 
 
-def test_convergence_report_ratio_slope(engine):
-    report = asym.convergence_report(
-        engine, parse("S1"), 1, [50, 100, 200, 300], kind="ratio"
-    )
-    assert report.fitted_slope is not None
-    assert report.fitted_slope <= -1.7
-    assert report.slope_ok
+def test_fit_initial_coeffs_evaluates_only_the_two_largest_magnitudes():
+    seen = []
+
+    class Recording(ExpectationEngine):
+        def expectation_exact(self, n, r, f):
+            seen.append((n, r))
+            return super().expectation_exact(n, r, f)
+
+    ratio = parse("S2/S1")
+    fitted = asym.fit_initial_coeffs(Recording(), ratio, ns=(60, 20, 40))
+    assert sorted(seen) == [(40, 1), (60, 1)]
+    assert fitted == asym.fit_initial_coeffs(ExpectationEngine(), ratio, ns=(40, 60))
+
+
+def test_log_slope_skips_underflowing_and_spreadless_points():
+    # A nonzero Fraction whose float is 0.0 has no logarithm and is skipped.
+    points = [(1, Fraction(1, 10**400)), (2, Fraction(1)), (4, Fraction(2))]
+    assert asym.log_slope(points) == pytest.approx(1.0)
+    assert asym.log_slope([(3, 1), (3, 2)]) is None
+    assert asym.log_slope([(3, 1), (5, 0)]) is None
 
 
 def test_convergence_report_expectation_slope(engine):
@@ -185,6 +194,7 @@ def test_variance_pipeline_report(engine):
     assert report.pipeline_a == Fraction(1, 64)
     assert report.total_variance_a == Fraction(5, 256)
     assert report.supported == "total_variance"
+    assert report.supported_a == report.total_variance_a
     assert report.max_rel_residual < 0.05
 
 

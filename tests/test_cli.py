@@ -7,6 +7,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,19 @@ def test_ratio_table(capsys):
     assert row["limit"] == "4"
 
 
+def test_ratio_exact_residual_is_the_exact_difference(capsys):
+    # Exact rows print ratio - expansion as one Fraction, not as the
+    # difference of two rounded floats.
+    code, out, _ = run_cli(
+        capsys, "ratio", "--n-grid", "100,300,1000", "--mode", "exact",
+        "--max-n", "1000",
+    )
+    assert code == 0
+    for row in parse_csv(out):
+        residual = Fraction(row["ratio"]) - Fraction(row["asymptotic"])
+        assert row["residual_decimal"] == cli._decimal12(residual), row["n"]
+
+
 def test_ratio_moment_observable(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--n", "1000", "--r", "1", "--f", "S1^2")
     row = parse_csv(out)[0]
@@ -166,6 +180,26 @@ def test_asympt_table(capsys):
     assert rows[0]["k"] == "1"
     slope = float(rows[0]["fitted_slope"])
     assert slope <= -0.7
+
+
+def test_asympt_honours_mode(capsys):
+    exact_columns = ("exact", "exact_decimal", "residual_decimal", "fitted_slope")
+    argv = ["asympt", "--n", "100", "--r", "2", "--mode"]
+    code, out, _ = run_cli(capsys, *argv, "float")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["asymptotic"] == "201/8"
+    assert [row[column] for column in exact_columns] == [""] * 4
+    code, out, _ = run_cli(capsys, *argv, "exact")
+    assert code == 0
+    assert parse_csv(out)[0]["exact"] == "4950/197"
+    # Past the exact ceiling, exact mode is a resource limit, as for expect.
+    code, out, err = run_cli(
+        capsys, "asympt", "--n-grid", "100,400", "--r", "2", "--mode", "exact"
+    )
+    assert code == 3
+    assert out == ""
+    assert "exact-mode limit" in err
 
 
 def test_exit_code_usage_errors(capsys):
