@@ -68,12 +68,10 @@ def laurent_at_infinity(f: Observable) -> AsymptoticCoeffs:
     num, den = f.rational_coeffs()
     if num == [0]:
         raise ExpansionError("zero numerator polynomial has no Laurent expansion")
-    k = (len(num) - 1) - (len(den) - 1)
-    a_hi = num[-1]
-    a_next = num[-2] if len(num) >= 2 else Fraction(0)
-    b_hi = den[-1]
-    b_next = den[-2] if len(den) >= 2 else Fraction(0)
-    a1 = a_hi / b_hi
+    k = len(num) - len(den)
+    a_next, a_hi = ([0] + num)[-2:]
+    b_next, b_hi = ([0] + den)[-2:]
+    a1 = Fraction(a_hi, b_hi)
     b1 = (a_next - a1 * b_next) / b_hi
     return AsymptoticCoeffs(k=k, a1=a1, b1=b1)
 

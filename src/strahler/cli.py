@@ -323,22 +323,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["passed"] else EXIT_FAILURE
 
 
-def _add_common(sub, with_f=True, with_sampling=False):
+def _add_common(sub, with_query=True, with_f=True, with_sampling=False):
     sub.add_argument("--n", type=_positive_int, help="single magnitude")
     sub.add_argument(
         "--n-grid", type=_parse_grid, help="comma-separated ascending magnitudes"
     )
-    sub.add_argument(
-        "--r", type=_positive_int, default=1, help="base branch order (default 1)"
-    )
-    if with_f:
-        sub.add_argument("--f", default="S1", help='observable, e.g. "S2/S1"')
-    sub.add_argument(
-        "--mode",
-        choices=("exact", "float", "auto"),
-        default="auto",
-        help="arithmetic mode (auto: exact up to the ceiling, then float)",
-    )
+    if with_query:
+        sub.add_argument(
+            "--r", type=_positive_int, default=1, help="base branch order (default 1)"
+        )
+        if with_f:
+            sub.add_argument("--f", default="S1", help='observable, e.g. "S2/S1"')
+        sub.add_argument(
+            "--mode",
+            choices=("exact", "float", "auto"),
+            default="auto",
+            help="arithmetic mode (auto: exact up to the ceiling, then float)",
+        )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument(
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_cmd = subparsers.add_parser(
         "enumerate", help="canonical enumeration of all shapes"
     )
-    _add_common(enumerate_cmd, with_f=False)
+    _add_common(enumerate_cmd, with_query=False)
     enumerate_cmd.set_defaults(func=cmd_enumerate)
 
     asympt = subparsers.add_parser("asympt", help="asymptotic expansion table")
@@ -418,6 +419,13 @@ def main(argv=None) -> int:
         sampling.ProfileEvaluationError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OverflowError:
+        print(
+            "error: a value is outside the float range; "
+            "expect --mode exact with --max-n computes it exactly",
+            file=sys.stderr,
+        )
         return EXIT_FAILURE
 
 

@@ -57,6 +57,8 @@ from . import trees as trees_mod
 from .observables import Observable, parse as _parse
 
 DEFAULT_EXACT_LIMIT = 300
+# The oracle's ceiling; it tallies distinct profiles (195 at n = 40), not shapes.
+ORACLE_LIMIT = 40
 _EPS = sys.float_info.epsilon
 
 
@@ -93,8 +95,7 @@ class ExpectationEngine:
     """Exact and floating expectation queries over shared level tables.
 
     ``exact_limit`` caps exact recursion, beyond which auto mode falls back
-    to floats with a warning. Oracle queries are capped at the default
-    shape-enumeration ceiling, ``trees.DEFAULT_ENUMERATION_LIMIT``.
+    to floats with a warning. Oracle queries are capped at ``ORACLE_LIMIT``.
     """
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT):
@@ -113,11 +114,8 @@ class ExpectationEngine:
         shapes with a magnitude-k left subtree. Magnitudes are filled in
         ascending order, each assigned once.
         """
-        if n > trees_mod.DEFAULT_ENUMERATION_LIMIT:
-            raise LimitExceededError(
-                f"magnitude {n} exceeds the enumeration limit "
-                f"{trees_mod.DEFAULT_ENUMERATION_LIMIT}"
-            )
+        if n > ORACLE_LIMIT:
+            raise LimitExceededError(f"magnitude {n} exceeds the oracle limit {ORACLE_LIMIT}")
         profiles = self._profiles
         for size in range(len(profiles) + 1, n + 1):
             tally = Counter({(1,): 1} if size == 1 else ())
@@ -132,11 +130,11 @@ class ExpectationEngine:
         """Average of f over every magnitude-n shape, equal weight each."""
         _validate_query(n, r)
         p = f.arity
-        total = Fraction(0)
+        total = 0
         for counts, mult in self.profile_counts(n).items():
             window = trees_mod.BranchProfile(counts).window(r, p)
             total += mult * f.evaluate(window)
-        return total / comb.catalan(n - 1)
+        return Fraction(total, comb.catalan(n - 1))
 
     # -- the kernel, backward -------------------------------------------------
 
@@ -288,12 +286,13 @@ def _join(a: tuple, b: tuple) -> tuple:
     return joined + (1,) if len(a) == len(b) else joined
 
 
-def _integral(value: Fraction):
-    """An integral Fraction as an int, so counting sums skip the gcd."""
+def _integral(value):
+    """c_{m-1} f as an int when integral, so counting sums skip the gcd: f is
+    an int unless it divides, and c_{m-1} f is often integral when f is not."""
     return value.numerator if value.denominator == 1 else value
 
 
-def _float_leaf(value: Fraction) -> tuple:
+def _float_leaf(value) -> tuple:
     v = float(value)
     return v, abs(v), 2 * _EPS * abs(v)
 

@@ -3,9 +3,9 @@
 An observable is parsed from text like ``"S2/S1"`` or ``"(S1-1)*S1"``.
 Variables are order-relative: when an expectation is taken at base order r,
 ``Sj`` denotes the branch count at order r+j-1, so one expression serves
-every base order. Evaluation is exact rational arithmetic with the
-convention 0/0 = 0 (a window above the root order contributes nothing);
-a nonzero numerator over zero is an error.
+every base order. Evaluation is exact: an int, or a Fraction once a
+division is involved, with the convention 0/0 = 0 (a window above the root
+order contributes nothing); a nonzero numerator over zero is an error.
 
 Grammar (ASCII, whitespace insignificant)::
 
@@ -173,12 +173,12 @@ def _print(node: Node) -> str:
     return f"({_print(node[1])}{op}{_print(node[2])})"
 
 
-def _eval(node: Node, values: Sequence[int]) -> Fraction:
+def _eval(node: Node, values: Sequence[int]):
     op = node[0]
     if op == "var":
-        return Fraction(values[node[1] - 1])
+        return values[node[1] - 1]
     if op == "lit":
-        return Fraction(node[1])
+        return node[1]
     if op == "^":
         return _eval(node[1], values) ** node[2]
     a = _eval(node[1], values)
@@ -191,9 +191,9 @@ def _eval(node: Node, values: Sequence[int]) -> Fraction:
         return a * b
     if b == 0:
         if a == 0:
-            return Fraction(0)
+            return 0
         raise NonzeroOverZeroError(f"{a} / 0 in observable evaluation")
-    return a / b
+    return Fraction(a, b)
 
 
 def _shift(node: Node, first_value: int) -> Node:
@@ -210,7 +210,7 @@ def _shift(node: Node, first_value: int) -> Node:
 
 # --- rational normal form ----------------------------------------------------
 #
-# A multivariate polynomial is a dict {exponent tuple: Fraction}; a rational
+# A multivariate polynomial is a dict {exponent tuple: int}; a rational
 # form is a (num, den) pair of those. Used to reject zero divisors at parse
 # time and to feed the asymptotic pipeline for single-variable observables.
 
@@ -241,13 +241,13 @@ def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
 
 def _rational(node: Node, arity: int) -> Tuple[dict, dict]:
     zero_exp = (0,) * arity
-    one = {zero_exp: Fraction(1)}
+    one = {zero_exp: 1}
     op = node[0]
     if op == "var":
         e = tuple(1 if i == node[1] - 1 else 0 for i in range(arity))
-        return {e: Fraction(1)}, one
+        return {e: 1}, one
     if op == "lit":
-        return ({zero_exp: Fraction(node[1])} if node[1] else {}), one
+        return ({zero_exp: node[1]} if node[1] else {}), one
     if op == "^":
         bn, bd = _rational(node[1], arity)
         rn, rd = one, one
@@ -295,8 +295,9 @@ class Observable:
     def __hash__(self) -> int:
         return hash(self.ast)
 
-    def evaluate(self, values: Sequence[int]) -> Fraction:
-        """Exact value at the given branch-count window (0/0 = 0)."""
+    def evaluate(self, values: Sequence[int]):
+        """Exact value at the given branch-count window (0/0 = 0): an int,
+        or a Fraction once a division is involved."""
         if len(values) < self.arity:
             raise ValueError(
                 f"observable needs {self.arity} values, got {len(values)}"
@@ -310,7 +311,7 @@ class Observable:
         return Observable(_shift(self.ast, value))
 
     def rational_coeffs(self) -> Tuple[list, list]:
-        """Numerator/denominator coefficient lists (ascending powers of S1).
+        """Integer numerator/denominator coefficient lists (ascending powers of S1).
 
         Only defined for single-variable observables; used for the Laurent
         expansion around infinity.
@@ -321,9 +322,9 @@ class Observable:
 
         def as_list(p: dict) -> list:
             if not p:
-                return [Fraction(0)]
+                return [0]
             deg = max(e[0] for e in p)
-            return [p.get((i,), Fraction(0)) for i in range(deg + 1)]
+            return [p.get((i,), 0) for i in range(deg + 1)]
 
         return as_list(num), as_list(den)
 

@@ -221,14 +221,14 @@ def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:
         )
         tally[window] = tally.get(window, 0) + 1
 
-    values: dict[tuple, Fraction] = {}
+    values: dict = {}
     for window in sorted(tally):
         try:
             values[window] = cfg.f.evaluate(window)
         except NonzeroOverZeroError:
             raise ProfileEvaluationError(window, cfg.r) from None
 
-    mean = sum(count * values[w] for w, count in tally.items()) / cfg.trials
+    mean = Fraction(sum(count * values[w] for w, count in tally.items()), cfg.trials)
     if cfg.trials == 1:
         return MonteCarloResult(float(mean), None, 1)
     ss = sum(count * (values[w] - mean) ** 2 for w, count in tally.items())

@@ -159,6 +159,17 @@ def test_enumerate_all_shapes(capsys):
     assert {row["profile"] for row in rows} == {"4 1", "4 2 1"}
 
 
+def test_enumerate_takes_only_the_flags_it_reads(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--max-n", "3")
+    assert code == 0
+    assert len(parse_csv(out)) == 2
+    for flag in (["--r", "5"], ["--mode", "float"]):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "enumerate", "--n", "3", *flag)
+        assert excinfo.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sample_reports_reference(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--n", "1", "--trials", "5", "--seed", "3", "--f", "S1"
@@ -243,6 +254,25 @@ def test_exit_code_evaluation_failures(capsys):
     code, _, err = run_cli(capsys, "ratio", "--n", "5", "--f", "S1-S1")
     assert code == 1
     assert "Laurent" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "expect --n 400 --f S1^120",  # auto runs in float past 300
+        "expect --n 5000 --f S1^90 --mode float",
+        "ratio --n 400 --f S1^150",
+        "sample --n 400 --f S1^120 --trials 2",  # the float reference
+        "sample --n 100 --f S1^200 --trials 3",  # the float sample mean
+    ],
+)
+def test_float_overflow_is_an_evaluation_failure(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err and "--mode exact" in err
+    assert "Traceback" not in err
 
 
 def test_horton_ratio_observable_answers(capsys):

@@ -7,6 +7,7 @@ import pytest
 from strahler import combinatorics as comb
 from strahler import trees
 from strahler.expectations import (
+    ORACLE_LIMIT,
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
@@ -142,9 +143,10 @@ def test_profile_tally_matches_per_shape_tally():
 
 
 def test_bruteforce_respects_enumeration_limit(engine):
-    top = trees.DEFAULT_ENUMERATION_LIMIT
-    with pytest.raises(LimitExceededError, match=f"enumeration limit {top}$"):
-        engine.expectation_bruteforce(top + 1, 1, S1)
+    # The oracle walks no shapes, so its ceiling is its own, not enumeration's.
+    assert ORACLE_LIMIT == 40 > trees.DEFAULT_ENUMERATION_LIMIT
+    with pytest.raises(LimitExceededError, match="oracle limit 40$"):
+        engine.expectation_bruteforce(41, 1, S1)
 
 
 def test_exact_examples(engine):
@@ -155,7 +157,7 @@ def test_exact_examples(engine):
 
 def test_exact_matches_bruteforce_battery(engine):
     battery = [parse(t) for t in ("S1", "S1^2", "S2/S1", "S1*S2", "(S1-1)*S1")]
-    for n in range(1, trees.DEFAULT_ENUMERATION_LIMIT + 1):
+    for n in range(1, ORACLE_LIMIT + 1):
         for r in (1, 2, 3, 4):
             for f in battery:
                 assert engine.expectation_exact(n, r, f) == (
@@ -170,7 +172,7 @@ def test_dividing_observables_match_bruteforce(engine):
     for text in ("S1/S2", "1/S2", "1/S1", "S1/S2+1/S3", "1/(S1-3)"):
         f = parse(text)
         for r in (1, 2, 3, 4):
-            for n in range(1, 10):
+            for n in range(1, ORACLE_LIMIT + 1):
                 try:
                     expected = engine.expectation_bruteforce(n, r, f)
                 except NonzeroOverZeroError:

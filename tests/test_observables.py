@@ -32,6 +32,21 @@ def test_whitespace_and_precedence():
     assert obs.parse("8/4/2").evaluate((1,)) == 1
 
 
+def test_values_stay_ints_until_a_division():
+    # The number format: an int, or a Fraction once a division is involved.
+    value = obs.parse("S1*S2-S3").evaluate((5, 2, 1))
+    assert type(value) is int and value == 9
+    assert type(obs.parse("(S1-1)^2").evaluate((3,))) is int
+    assert type(obs.parse("S2/S1").evaluate((0, 0))) is int  # 0/0 = 0
+    value = obs.parse("S2/S1").evaluate((4, 2))
+    assert type(value) is Fraction and value == Fraction(1, 2)
+    assert type(obs.parse("8/4").evaluate((1,))) is Fraction
+    num, den = obs.parse("(S1-1)/(2*(2*S1-3))").rational_coeffs()
+    assert all(type(c) is int for c in num + den)
+    num, den = obs.parse("S1-S1").rational_coeffs()
+    assert (num, den) == ([0], [1]) and type(num[0]) is int
+
+
 def test_rational_constants_stay_exact():
     assert obs.parse("1/3").evaluate((0,)) == Fraction(1, 3)
     assert obs.parse("(1/3)*3").evaluate((0,)) == 1
