@@ -181,15 +181,23 @@ def _line(xs: Sequence[float], ys: Sequence[float]) -> Optional[tuple]:
 
 
 def log_slope(points: Iterable[tuple]) -> Optional[float]:
-    """Least-squares slope of log|y| against log x, ignoring a y whose float
-    is zero (one that underflows included)."""
+    """Least-squares slope of log|y| against log x over the points whose y
+    is nonzero.
+
+    An exact y whose float underflows to 0 or overflows still has a
+    logarithm in float range: log|numerator| - log(denominator).
+    """
     xs = []
     ys = []
     for x, y in points:
-        y = abs(float(y))
-        if y > 0:
-            xs.append(math.log(float(x)))
-            ys.append(math.log(y))
+        if y == 0:
+            continue
+        try:
+            log_y = math.log(abs(float(y)))
+        except (OverflowError, ValueError):  # float(y) overflowed, or is 0.0
+            log_y = math.log(abs(y.numerator)) - math.log(y.denominator)
+        xs.append(math.log(float(x)))
+        ys.append(log_y)
     line = _line(xs, ys) if len(xs) >= 2 else None
     return None if line is None else line[0]
 

@@ -20,10 +20,11 @@ _LOG2 = math.log(2.0)
 # Incrementally grown Catalan cache; list index i holds c_i.
 _catalan_cache: list[int] = [1]
 
-# lgamma(k) at index k >= 1 (index 0 is unused), grown on demand. Growth
-# assigns a longer array and never writes into one, so a row being built
-# from the old table stays valid.
+# lgamma(k) at index k >= 1 (index 0 is unused), and k * log 2 at index k,
+# grown together on demand. Growth assigns longer arrays and never writes
+# into one, so a row being built from the old tables stays valid.
 _lgamma_table = np.array([math.inf, 0.0])
+_q_log2_table = np.arange(2) * _LOG2
 
 
 def catalan(i: int) -> int:
@@ -80,15 +81,16 @@ def multiplicity_row(n: int) -> np.ndarray:
     return np.array(row, dtype=object)
 
 
-def _lgammas(k: int) -> np.ndarray:
-    """A table holding lgamma(i) at index i for at least 1 <= i <= k."""
-    global _lgamma_table
+def _log_tables(k: int) -> tuple:
+    """(lgamma(i), i * log 2) tables holding index i for at least i <= k."""
+    global _lgamma_table, _q_log2_table
     table = _lgamma_table
     if len(table) <= k:
         new = range(len(table), max(k + 1, 2 * len(table)))
         table = np.concatenate((table, [math.lgamma(i) for i in new]))
         _lgamma_table = table
-    return table
+        _q_log2_table = np.arange(len(table)) * _LOG2
+    return table, _q_log2_table
 
 
 def float_weight_row(n: int) -> np.ndarray:
@@ -101,22 +103,22 @@ def float_weight_row(n: int) -> np.ndarray:
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
     branch, and magnitude 0, above the root order, stays put. The row is one
     vectorised log-gamma expression, so deep float sweeps are not dominated
-    by weight set-up; its log-gamma values come from a shared table of
-    ``math.lgamma`` at the integers. Relative error is a small multiple of
+    by weight set-up; its log-gamma and q log 2 terms are strided slices of
+    shared tables of ``math.lgamma`` and of q log 2 at the integers.
+    Relative error is a small multiple of
     the largest lgamma magnitude times machine epsilon (within 1e-12 for n
     up to a few hundred).
     """
     if n < 2:
         return np.ones(1)
-    lgammas = _lgammas(n)
-    ms = np.arange(1, n // 2 + 1)
-    qs = n - 2 * ms
+    lgammas, q_log2 = _log_tables(n)
+    h = n // 2  # m = 1 .. h, q = n - 2m = n-2, n-4, ..., n-2h
     logs = (
         math.lgamma(n - 1)
-        + qs * _LOG2
-        - lgammas[qs + 1]
-        - lgammas[ms + 1]
-        - lgammas[ms]
+        + q_log2[n - 2 :: -2][:h]
+        - lgammas[n - 1 :: -2][:h]
+        - lgammas[2 : h + 2]
+        - lgammas[1 : h + 1]
         + math.lgamma(n + 1)
         + math.lgamma(n)
         - math.lgamma(2 * n - 1)

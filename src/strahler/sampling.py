@@ -17,13 +17,20 @@ generator whose single bulk draw supplies all insertion choices. Streams
 are therefore splittable per trial, and any parallel or chunked execution
 reproduces the serial result bit for bit.
 
-The growth kernel works on flat parent/order/child lists and maintains
-Horton-Strahler orders incrementally: grafting above a leaf bumps that
-spot to order two, which cascades upward only while each parent's other
-child matches the bumped order exactly. It is plain CPython over Python
-lists and ints: numpy supplies only the bulk choice draw, since indexing
-numpy arrays one scalar at a time is several times slower than list
-indexing.
+Neither path builds a tree for a profile. The unrank path folds the rank
+descent straight into branch counts (``trees.unrank_profile``). The
+growth path tracks Horton-Strahler orders in one kernel over flat
+parent/sibling/order lists: grafting above a leaf bumps that spot to
+order two, which cascades upward only while each parent's other child
+matches the bumped order exactly. A node whose two children share order
+o-1 starts an order-o branch, so the kernel keeps ``joins[o]``, the
+number of such nodes, up to date at every node the cascade re-evaluates,
+and the profile is (n, joins[2], joins[3], ...) with no final scan.
+``sample_uniform`` alone needs the tree: it wires the same choices into
+child lists without tracking orders. Both loops are plain CPython over
+Python lists and ints: numpy supplies only the bulk choice draw, since
+indexing numpy arrays one scalar at a time is several times slower than
+list indexing.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -95,21 +102,31 @@ def _growth_choices(n: int, seed: int) -> list:
     return np.random.default_rng(seed).integers(0, highs).tolist()
 
 
-def _grow(choices: list, size: int):
-    """Growth kernel: returns (parent, left, right, head counts) as lists.
+def _rank(n: int, seed: int) -> int:
+    """The uniform rank below c_{n-1} that the unrank path draws."""
+    return random.Random(seed).randrange(catalan(n - 1))
 
-    Node ids follow creation order: step k adds internal node 2k-1 and leaf
-    2k; the root is whichever node ends with parent -1. ``counts[o]`` is
-    the number of order-o branch heads (nodes whose parent is absent or of
-    a different order).
+
+def _grown_profile(n: int, seed: int) -> trees_mod.BranchProfile:
+    """Branch profile of one grown tree, from its join counts.
+
+    Node ids follow creation order: step k grafts internal node w = 2k-1
+    above the chosen node v, with the fresh leaf 2k as v's new sibling.
+    Which side the leaf takes does not change any order, so the kernel
+    ignores it. Orders only grow, by at most one per node, so a node whose
+    child went from o-1 to o, with the other child at order s, loses the
+    order-o join if s = o-1 (and keeps its order), gains an order-(o+1)
+    join if s = o (and rises to o+1), takes order o if s < o-1, and is
+    unchanged if s > o.
     """
+    size = 2 * n - 1
     parent = [-1] * size
+    sibling = [-1] * size
     order = [1] * size
-    left = [-1] * size
-    right = [-1] * size
+    joins = [0] * _MAX_ORDER
     w = -1
     leaf = 0
-    for x in choices:
+    for x in _growth_choices(n, seed):
         v = x >> 1
         w += 2
         leaf += 2
@@ -117,53 +134,36 @@ def _grow(choices: list, size: int):
         parent[w] = p
         parent[v] = w
         parent[leaf] = w
-        if p >= 0:
-            if left[p] == v:
-                left[p] = w
-            else:
-                right[p] = w
-        if x & 1:
-            left[w] = leaf
-            right[w] = v
-        else:
-            left[w] = v
-            right[w] = leaf
-        ov = order[v]
-        if ov > 1:
-            order[w] = ov  # the parent sees an unchanged child order
+        s = sibling[v]
+        sibling[w] = s
+        if s >= 0:
+            sibling[s] = w
+        sibling[v] = leaf
+        sibling[leaf] = v
+        o = order[v]
+        if o > 1:
+            order[w] = o  # the parent sees an unchanged child order
             continue
         order[w] = 2
-        cur = w
-        while True:
-            q = parent[cur]
-            if q < 0:
+        joins[2] += 1
+        new = 2  # the order the child below p has just risen to
+        while p >= 0:
+            o = order[s]  # p's other child
+            if o > new:
                 break
-            oa = order[left[q]]
-            ob = order[right[q]]
-            if oa == ob:
-                new = oa + 1
-            elif oa > ob:
-                new = oa
-            else:
-                new = ob
-            if new == order[q]:
+            if o == new - 1:
+                joins[new] -= 1
                 break
-            order[q] = new
-            cur = q
-    counts = [0] * _MAX_ORDER
-    for o, p in zip(order, parent):
-        if p < 0 or order[p] != o:
-            counts[o] += 1
-    return parent, left, right, counts
-
-
-def _grown_profile(n: int, seed: int):
-    """(profile, parent, left, right) of one grown tree."""
-    parent, left, right, counts = _grow(_growth_choices(n, seed), 2 * n - 1)
-    profile = counts[1:]
-    while profile and profile[-1] == 0:
+            if o == new:
+                new += 1
+                joins[new] += 1
+            order[p] = new
+            s = sibling[p]
+            p = parent[p]
+    profile = joins[2:]
+    while profile[-1] == 0:
         profile.pop()
-    return trees_mod.BranchProfile(tuple(profile)), parent, left, right
+    return trees_mod.BranchProfile((n, *profile))
 
 
 def _tree_from_arrays(left: list, right: list, root: int) -> trees_mod.Tree:
@@ -185,25 +185,54 @@ def _tree_from_arrays(left: list, right: list, root: int) -> trees_mod.Tree:
     return built[root]
 
 
+def _grown_tree(n: int, seed: int) -> trees_mod.Tree:
+    """The grown tree: the choices of ``_grown_profile`` wired into child
+    lists, the low bit of each choice putting the fresh leaf on the left."""
+    size = 2 * n - 1
+    parent = [-1] * size
+    left = [-1] * size
+    right = [-1] * size
+    root = 0
+    w = -1
+    leaf = 0
+    for x in _growth_choices(n, seed):
+        v = x >> 1
+        w += 2
+        leaf += 2
+        p = parent[v]
+        parent[w] = p
+        parent[v] = w
+        parent[leaf] = w
+        if p < 0:
+            root = w
+        elif left[p] == v:
+            left[p] = w
+        else:
+            right[p] = w
+        if x & 1:
+            left[w] = leaf
+            right[w] = v
+        else:
+            left[w] = v
+            right[w] = leaf
+    return _tree_from_arrays(left, right, root)
+
+
 def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
     """One tree, exactly uniform over the magnitude-n shapes, fixed by seed."""
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
-    if n == 1:
-        return trees_mod.LEAF
     if n <= UNRANK_LIMIT:
-        rank = random.Random(seed).randrange(catalan(n - 1))
-        return trees_mod.unrank_tree(n, rank)
-    _profile, parent, left, right = _grown_profile(n, seed)
-    return _tree_from_arrays(left, right, parent.index(-1))
+        return trees_mod.unrank_tree(n, _rank(n, seed))
+    return _grown_tree(n, seed)
 
 
 def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:
-    """Branch profile of one sampled tree, from the same stream as
-    ``sample_uniform``; on the growth path no tree is assembled."""
+    """Branch profile of ``sample_uniform(n, child_seed)``, from the same
+    stream; neither path builds the tree."""
     if n <= UNRANK_LIMIT:
-        return trees_mod.branch_counts(sample_uniform(n, child_seed))
-    return _grown_profile(n, child_seed)[0]
+        return trees_mod.unrank_profile(n, _rank(n, child_seed))
+    return _grown_profile(n, child_seed)
 
 
 def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:

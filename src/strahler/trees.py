@@ -153,12 +153,14 @@ def branch_counts(t: Tree) -> BranchProfile:
 #
 # Trees of magnitude n are ordered by left-subtree magnitude ascending, then
 # recursively by left rank, then right rank. Unranking follows the same
-# order, so enumerate_trees(n)[i] == unrank_tree(n, i).
+# order, so enumerate_trees(n)[i] == unrank_tree(n, i), and
+# unrank_profile(n, i) is that tree's branch profile.
 
 _tree_lists: dict[int, list] = {1: [LEAF]}
 
 
-def _all_trees(n: int) -> list:
+def _all_trees(n: int) -> dict:
+    """The canonical shape lists by magnitude, filled up to magnitude n."""
     for k in range(2, n + 1):
         if k not in _tree_lists:
             _tree_lists[k] = [
@@ -167,7 +169,7 @@ def _all_trees(n: int) -> list:
                 for l in _tree_lists[j]
                 for r in _tree_lists[k - j]
             ]
-    return _tree_lists[n]
+    return _tree_lists
 
 
 def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[Tree]:
@@ -217,36 +219,108 @@ def _scan_blocks(c: tuple, m: int, rank: int) -> Tuple[int, int]:
         j += step
 
 
-def unrank_tree(n: int, rank: int) -> Tree:
-    """Tree at position ``rank`` of the canonical enumeration of magnitude n."""
+def _descend(n: int, rank: int, levels) -> list:
+    """Pre-order items of the tree at position ``rank`` of magnitude n.
+
+    Each item is a ``_SPLIT`` marker (an internal node whose left and then
+    right subtree follow) or ``table[m][r]``, the entry for the subtree of
+    magnitude m <= ``_UNRANK_TABLE_LIMIT`` at rank r; ``levels(k)`` returns
+    that table filled up to magnitude k. The two folds of this list,
+    ``unrank_tree`` and ``unrank_profile``, describe the same tree:
+    enumerate_trees(n)[rank] == unrank_tree(n, rank), and
+    unrank_profile(n, rank) == branch_counts(unrank_tree(n, rank)).
+    """
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
     c = catalans(n)
     if not 0 <= rank < c[n - 1]:
         raise ValueError(f"rank {rank} out of range for magnitude {n}")
-    _all_trees(min(n, _UNRANK_TABLE_LIMIT))  # fills _tree_lists for the lookups
-    # Descend in pre-order with an explicit stack, then fold the reversed
-    # pre-order list: each marker joins the two subtrees built just before.
+    table = levels(min(n, _UNRANK_TABLE_LIMIT))
     preorder = []
-    stack = [(n, rank)]
-    while stack:
-        m, r = stack.pop()
+    stack = []
+    m = n
+    while True:
         if m <= _UNRANK_TABLE_LIMIT:
-            preorder.append(_tree_lists[m][r])
+            preorder.append(table[m][rank])
+            if not stack:
+                return preorder
+            m, rank = stack.pop()
             continue
-        j, r = _scan_blocks(c, m, r)
-        left_rank, right_rank = divmod(r, c[m - j - 1])
+        j, rank = _scan_blocks(c, m, rank)
+        rank, right_rank = divmod(rank, c[m - j - 1])
         preorder.append(_SPLIT)
         stack.append((m - j, right_rank))
-        stack.append((j, left_rank))
+        m = j  # the left subtree comes next, at the quotient rank
+
+
+def unrank_tree(n: int, rank: int) -> Tree:
+    """Tree at position ``rank`` of the canonical enumeration of magnitude n."""
+    # Fold the reversed pre-order list: each marker joins the two subtrees
+    # built just before it.
     built: list = []
-    for item in reversed(preorder):
+    for item in reversed(_descend(n, rank, _all_trees)):
         if item is _SPLIT:
             left = built.pop()
             built.append((left, built.pop()))
         else:
             built.append(item)
     return built[0]
+
+
+def _fold_profile(preorder: list, size: int) -> Tuple[int, Tuple[int, ...]]:
+    """(root order, branch counts) of a pre-order list of ``_SPLIT`` markers
+    and (root order, branch counts) pairs of whole subtrees.
+
+    Branch counts add over subtrees, and a split adds a branch only where its
+    two subtree roots share an order o: it starts an order-(o+1) branch. So
+    the fold sums the subtrees' counts and joins root orders, nothing more.
+    ``size`` bounds the root order.
+    """
+    counts = [0] * size
+    orders = []
+    for item in reversed(preorder):
+        if item is _SPLIT:
+            a = orders.pop()
+            b = orders.pop()
+            if a == b:
+                counts[a] += 1
+                orders.append(a + 1)
+            else:
+                orders.append(a if a > b else b)
+        else:
+            o, sub = item
+            for i, k in enumerate(sub):
+                counts[i] += k
+            orders.append(o)
+    top = orders[0]
+    return top, tuple(counts[:top])
+
+
+# (root order, branch counts) of every shape in _tree_lists, in the same
+# places: composed from smaller magnitudes by the same fold.
+_profile_lists: dict[int, list] = {1: [(1, (1,))]}
+
+
+def _all_profiles(n: int) -> dict:
+    """The table shapes' (root order, branch counts) lists by magnitude,
+    filled up to magnitude n."""
+    for k in range(2, n + 1):
+        if k not in _profile_lists:
+            _profile_lists[k] = [
+                _fold_profile([_SPLIT, a, b], k.bit_length())
+                for j in range(1, k)
+                for a in _profile_lists[j]
+                for b in _profile_lists[k - j]
+            ]
+    return _profile_lists
+
+
+def unrank_profile(n: int, rank: int) -> BranchProfile:
+    """Branch profile of ``unrank_tree(n, rank)``, folded from the same
+    descent without building the tree."""
+    # A root order never exceeds floor(log2 n) + 1, the bit length of n.
+    _, counts = _fold_profile(_descend(n, rank, _all_profiles), n.bit_length())
+    return BranchProfile(counts)
 
 
 # --- text codec -------------------------------------------------------------

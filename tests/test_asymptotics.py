@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -166,12 +167,26 @@ def test_fit_initial_coeffs_evaluates_only_the_two_largest_magnitudes():
     assert fitted == asym.fit_initial_coeffs(ExpectationEngine(), ratio, ns=(40, 60))
 
 
-def test_log_slope_skips_underflowing_and_spreadless_points():
-    # A nonzero Fraction whose float is 0.0 has no logarithm and is skipped.
-    points = [(1, Fraction(1, 10**400)), (2, Fraction(1)), (4, Fraction(2))]
-    assert asym.log_slope(points) == pytest.approx(1.0)
+def test_log_slope_fits_exact_logs_beyond_the_float_range():
+    # A nonzero y whose float underflows or overflows is fitted at its exact
+    # log, taken from its numerator and denominator.
+    log10 = math.log(10)
+    tiny = [(1, Fraction(1, 10**400)), (2, Fraction(1)), (4, Fraction(2))]
+    xs = [0.0, math.log(2), math.log(4)]
+    ys = [-400 * log10, 0.0, math.log(2)]
+    mx, my = sum(xs) / 3, sum(ys) / 3
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+        (x - mx) ** 2 for x in xs
+    )
+    assert asym.log_slope(tiny) == pytest.approx(slope)
+    huge = [(2, Fraction(-(10**400), 3)), (4, 10**401)]
+    assert asym.log_slope(huge) == pytest.approx(
+        (401 * log10 - (400 * log10 - math.log(3))) / math.log(2)
+    )
+    # Only an exact zero is skipped; a single x has no spread.
     assert asym.log_slope([(3, 1), (3, 2)]) is None
     assert asym.log_slope([(3, 1), (5, 0)]) is None
+    assert asym.log_slope([(3, 1), (5, 0), (6, 2)]) == pytest.approx(1.0)
 
 
 def test_convergence_report_expectation_slope(engine):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -191,6 +192,23 @@ def test_asympt_table(capsys):
     assert rows[0]["k"] == "1"
     slope = float(rows[0]["fitted_slope"])
     assert slope <= -0.7
+
+
+def test_asympt_fits_residuals_beyond_the_float_range(capsys):
+    # The residuals near 1e364 overflow a float; the slope is fitted from
+    # their exact logarithms, so the table is printed whole.
+    code, out, _ = run_cli(
+        capsys, "asympt", "--n-grid", "100,200", "--r", "2", "--f", "S1^200"
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    logs = []
+    for row in rows:
+        residual = Fraction(row["exact"]) - Fraction(row["asymptotic"])
+        logs.append(math.log(residual.numerator) - math.log(residual.denominator))
+    assert float(rows[0]["fitted_slope"]) == pytest.approx(
+        (logs[1] - logs[0]) / math.log(2), abs=1e-3
+    )
 
 
 def test_asympt_honours_mode(capsys):

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from strahler import combinatorics as comb
@@ -94,6 +95,27 @@ def test_float_weight_row_within_the_engines_weight_error():
             exact = Fraction(counts[m] * comb.catalan(m - 1), total)
             if exact > Fraction(10) ** -250:
                 assert abs(Fraction(row[m]) - exact) <= bound * exact, (n, m)
+
+
+def test_float_weight_row_equals_the_gather_formula():
+    # The row reads strided slices of shared tables; the same expression,
+    # in the same operation order, over gathered indices gives the same bits.
+    for n in [*range(2, 400), 999, 1000, 3001, 4000, 10**4]:
+        lgammas = np.array([math.inf] + [math.lgamma(i) for i in range(1, n + 1)])
+        ms = np.arange(1, n // 2 + 1)
+        qs = n - 2 * ms
+        logs = (
+            math.lgamma(n - 1)
+            + qs * math.log(2.0)
+            - lgammas[qs + 1]
+            - lgammas[ms + 1]
+            - lgammas[ms]
+            + math.lgamma(n + 1)
+            + math.lgamma(n)
+            - math.lgamma(2 * n - 1)
+        )
+        gathered = np.concatenate(([0.0], np.exp(logs)))
+        assert np.array_equal(comb.float_weight_row(n), gathered), n
 
 
 def test_weight_mode_validation():

@@ -28,15 +28,30 @@ def test_sample_uniform_magnitude():
 
 
 def test_growth_kernel_matches_tree_core_branch_counts():
-    # The incremental order maintenance must agree with the independent
-    # post-order computation in tree_core, at magnitudes on both sides of
-    # the unranking threshold.
-    for n in (2, 3, 5, 8, 30, 70, 150, 400):
-        for seed in range(20):
-            profile, parent, left, right = sampling._grown_profile(n, seed * 31 + n)
-            root = parent.index(-1)
-            t = sampling._tree_from_arrays(left, right, root)
+    # The join-counting kernel must agree with the independent post-order
+    # computation on the tree the wiring loop builds from the same choices,
+    # at magnitudes on both sides of the unranking threshold.
+    for n in (2, 3, 5, 8, 30, 70, 150, 400, 1000, 4000):
+        for seed in range(20 if n <= 400 else 3):
+            profile = sampling._grown_profile(n, seed * 31 + n)
+            t = sampling._grown_tree(n, seed * 31 + n)
             assert trees.branch_counts(t) == profile
+
+
+def test_sampled_profiles_build_no_tree(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a sampled profile built a tree")
+
+    expected = {
+        n: sampling.monte_carlo(sampling.SampleConfig(n=n, trials=30, seed=4, f=S1, r=2))
+        for n in (48, 200)
+    }
+    monkeypatch.setattr(trees, "unrank_tree", forbidden)
+    monkeypatch.setattr(trees, "branch_counts", forbidden)
+    monkeypatch.setattr(sampling, "_tree_from_arrays", forbidden)
+    for n, result in expected.items():
+        cfg = sampling.SampleConfig(n=n, trials=30, seed=4, f=S1, r=2)
+        assert sampling.monte_carlo(cfg) == result
 
 
 def test_uniformity_chi_square_small_magnitudes():
@@ -54,16 +69,10 @@ def test_uniformity_chi_square_small_magnitudes():
 
 def test_growth_path_uniformity_chi_square():
     # Drive the growth sampler itself (not unranking) through a chi-square
-    # by faking a low threshold via direct kernel sampling at n=5.
+    # by wiring grown trees directly at n=5.
     trials = 20000
     shapes = list(trees.enumerate_trees(5))
-    tally = Counter()
-    for i in range(trials):
-        profile, parent, left, right = sampling._grown_profile(
-            5, sampling._child_seed(3, i)
-        )
-        root = parent.index(-1)
-        tally[sampling._tree_from_arrays(left, right, root)] += 1
+    tally = Counter(sampling._grown_tree(5, sampling._child_seed(3, i)) for i in range(trials))
     observed = [tally.get(t, 0) for t in shapes]
     p = chi_square_p_value(observed)
     assert 0.001 <= p <= 0.999, p

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -90,6 +91,21 @@ def test_unrank_matches_enumeration_order():
         for i, t in enumerate(trees.enumerate_trees(n)):
             if i % 97 == 0:
                 assert trees.unrank_tree(n, i) == t
+
+
+def test_unrank_profile_matches_branch_counts_of_unranked_trees():
+    # Every rank up to magnitude 10, then seeded ranks at every magnitude
+    # the sampler unranks.
+    for n in range(1, 11):
+        for k in range(comb.catalan(n - 1)):
+            assert trees.unrank_profile(n, k) == trees.branch_counts(trees.unrank_tree(n, k))
+    rng = random.Random(12)
+    for n in range(11, 65):
+        for _ in range(10):
+            k = rng.randrange(comb.catalan(n - 1))
+            assert trees.unrank_profile(n, k) == trees.branch_counts(trees.unrank_tree(n, k))
+    n = 1500  # the deep caterpillar at rank 0
+    assert trees.unrank_profile(n, 0).counts == (n, 1)
 
 
 def _spine(t, side):
