@@ -214,14 +214,6 @@ class ConvergenceRow:
 class ConvergenceReport:
     rows: tuple
     fitted_slope: Optional[float]  # None when every residual vanished
-    threshold: float
-    converged: bool
-
-    @property
-    def slope_ok(self) -> bool:
-        return self.converged or (
-            self.fitted_slope is not None and self.fitted_slope <= self.threshold
-        )
 
 
 def convergence_report(
@@ -234,9 +226,8 @@ def convergence_report(
     """Exact expectations at order r against the two-term expansion over a
     magnitude grid, with the fitted log-log slope of the residuals.
 
-    ``init`` defaults to the Laurent data of a single-variable f. The
-    residuals are O(n^(k-2)); the threshold adds 0.3 of slack to k - 2.
-    Every magnitude is evaluated exactly, so one past the engine's exact
+    ``init`` defaults to the Laurent data of a single-variable f. Every
+    magnitude is evaluated exactly, so one past the engine's exact
     ceiling raises ``LimitExceededError``.
     """
     if init is None:
@@ -247,8 +238,7 @@ def convergence_report(
         approx = expectation_asymptotic(init, r, n)
         rows.append(ConvergenceRow(n, exact, approx, exact - approx))
     slope = log_slope((row.n, row.residual) for row in rows)
-    converged = all(row.residual == 0 for row in rows)
-    return ConvergenceReport(tuple(rows), slope, init.k - 2 + 0.3, converged)
+    return ConvergenceReport(tuple(rows), slope)
 
 
 # -- variance pipeline (flagged verification) -----------------------------------

@@ -53,6 +53,16 @@ def _decimal12(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _exact_text(value) -> str:
+    """p/q rendering of an exact int or Fraction, as ``str`` gives it but at
+    any length: ``Decimal`` writes an int's digits without the interpreter's
+    limit on int-to-str conversion."""
+    text = str(Decimal(value.numerator))
+    if value.denominator != 1:
+        text += "/" + str(Decimal(value.denominator))
+    return text
+
+
 def _emit(rows: list, args):
     """Write a non-empty table as CSV or JSON; its columns are the first row's keys."""
     if args.format == "json":
@@ -117,14 +127,22 @@ def _parse_grid(text: str) -> list:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _engine(args) -> ExpectationEngine:
@@ -150,7 +168,7 @@ def cmd_expect(args) -> int:
                 "n": n,
                 "r": args.r,
                 "f": f.text,
-                "value": str(value) if mode == "exact" else "",
+                "value": _exact_text(value) if mode == "exact" else "",
                 "value_decimal": _decimal12(value),
                 "mode": mode,
             }
@@ -185,11 +203,11 @@ def cmd_ratio(args) -> int:
                 "n": n,
                 "r": args.r,
                 "f": f.text,
-                "ratio": str(ratio) if mode == "exact" else "",
+                "ratio": _exact_text(ratio) if mode == "exact" else "",
                 "ratio_decimal": _decimal12(ratio),
-                "asymptotic": str(expansion.value),
+                "asymptotic": _exact_text(expansion.value),
                 "asymptotic_decimal": _decimal12(expansion.value),
-                "limit": str(expansion.limit),
+                "limit": _exact_text(expansion.limit),
                 "residual_decimal": _decimal12(ratio - expansion.value),
                 "mode": mode,
             }
@@ -210,7 +228,7 @@ def cmd_dist(args) -> int:
                     "n": n,
                     "r": args.r,
                     "s": s,
-                    "probability": str(prob) if mode == "exact" else "",
+                    "probability": _exact_text(prob) if mode == "exact" else "",
                     "probability_decimal": _decimal12(prob),
                     "mode": mode,
                 }
@@ -249,7 +267,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    limit = max(DEFAULT_ENUMERATION_LIMIT, args.max_n or 0)
+    limit = args.max_n or DEFAULT_ENUMERATION_LIMIT
     rows = []
     for n in _grid(args):
         for index, tree in enumerate(trees_mod.enumerate_trees(n, limit)):
@@ -288,11 +306,11 @@ def cmd_asympt(args) -> int:
                 "r": args.r,
                 "f": f.text,
                 "k": init.k,
-                "a_r": str(coeffs.a_r),
-                "b_r": str(coeffs.b_r),
-                "asymptotic": str(expansion),
+                "a_r": _exact_text(coeffs.a_r),
+                "b_r": _exact_text(coeffs.b_r),
+                "asymptotic": _exact_text(expansion),
                 "asymptotic_decimal": _decimal12(expansion),
-                "exact": str(point.exact) if point else "",
+                "exact": _exact_text(point.exact) if point else "",
                 "exact_decimal": _decimal12(point.exact) if point else "",
                 "residual_decimal": _decimal12(point.residual) if point else "",
                 "fitted_slope": slope,
@@ -345,7 +363,7 @@ def _add_common(sub, with_query=True, with_f=True, with_sampling=False):
     sub.add_argument(
         "--max-n",
         type=_positive_int,
-        help="raise/lower the exact and enumeration ceilings",
+        help="set the exact and enumeration ceilings",
     )
     if with_sampling:
         sub.add_argument("--seed", type=int, default=42)
@@ -390,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=_positive_int, help="clamp all magnitude grids"
     )
     verify.add_argument(
-        "--trials", type=_positive_int, default=verification.SAMPLER_TRIALS,
-        help="sampler trials (default 100000)",
+        "--trials", type=_int_at_least(2), default=verification.SAMPLER_TRIALS,
+        help="sampler trials, at least 2 (default 100000)",
     )
     verify.add_argument("--out", help="JSON summary path (default stdout)")
     verify.set_defaults(func=cmd_verify)

@@ -11,9 +11,9 @@ independent oracle:
 * ``expectation_bruteforce`` averages f over the branch profiles of every
   magnitude-n shape. ``profile_counts`` tallies those profiles by the root
   split, not by walking the shapes: a shape is a (left, right) pair of
-  smaller shapes, and the Horton-Strahler join rule gives its profile from
-  theirs (Flajolet, Raoult & Vuillemin, 1979). The tally shares nothing with
-  the kernel, so it checks the kernel independently.
+  smaller shapes, and the Horton-Strahler join rule, ``trees.join``, gives
+  its profile from theirs (Flajolet, Raoult & Vuillemin, 1979). The tally
+  shares nothing with the kernel, so it checks the kernel independently.
 * ``expectation_exact`` and ``expectation_float`` apply the kernel backward:
   V_r(n) = K(n, .) . V_{r-1}; at r = 1 it is f(n) when f has one variable,
   and otherwise K(n, .) . V_1 of f with its first variable bound to n.
@@ -47,7 +47,6 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +54,7 @@ import numpy as np
 from . import combinatorics as comb
 from . import trees as trees_mod
 from .observables import Observable, parse as _parse
+from .trees import join
 
 DEFAULT_EXACT_LIMIT = 300
 # The oracle's ceiling; it tallies distinct profiles (195 at n = 40), not shapes.
@@ -122,7 +122,7 @@ class ExpectationEngine:
             for k in range(1, size):
                 for a, x in profiles[k].items():
                     for b, y in profiles[size - k].items():
-                        tally[_join(a, b)] += x * y
+                        tally[join(a, b)] += x * y
             profiles[size] = tally
         return profiles[n]
 
@@ -275,15 +275,6 @@ def _validate_query(n: int, r: int):
         raise ValueError(f"magnitude must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"base order must be >= 1, got {r}")
-
-
-def _join(a: tuple, b: tuple) -> tuple:
-    """Branch counts of a node whose subtrees have counts a and b. Every
-    branch of either subtree stays a branch; the root branch of the higher
-    order runs on through the node. Equal root orders r end both root
-    branches at the node, which starts one branch of order r + 1."""
-    joined = tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
-    return joined + (1,) if len(a) == len(b) else joined
 
 
 def _integral(value):

@@ -71,7 +71,12 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ObservableSyntaxError("expected an unsigned integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            raise ObservableSyntaxError(
+                f"integer of {self.pos - start} digits is too long", start
+            ) from None
 
 
 def _too_deep(position: int) -> ObservableSyntaxError:

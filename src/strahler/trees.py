@@ -9,12 +9,18 @@ whose children share order r has order r+1; otherwise the node takes the
 larger child order. An order-r branch is a maximal path of order-r nodes,
 and ``branch_counts`` tallies branches per order.
 
+A branch profile is its counts tuple, whose length is the root order.
+``join`` composes the profiles of two subtrees into that of the node
+above them: the counts add, and equal root orders o start one branch of
+order o + 1 (Flajolet, Raoult & Vuillemin, 1979).
+
 All traversals are iterative so deep (caterpillar-like) trees of any
 magnitude are safe regardless of the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .combinatorics import catalans
@@ -149,6 +155,15 @@ def branch_counts(t: Tree) -> BranchProfile:
     return BranchProfile(tuple(counts))
 
 
+def join(a: tuple, b: tuple) -> tuple:
+    """Branch counts of a node whose subtrees have counts a and b. Every
+    branch of either subtree stays a branch; the root branch of the higher
+    order runs on through the node. Equal root orders r end both root
+    branches at the node, which starts one branch of order r + 1."""
+    joined = tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+    return joined + (1,) if len(a) == len(b) else joined
+
+
 # --- canonical enumeration -------------------------------------------------
 #
 # Trees of magnitude n are ordered by left-subtree magnitude ascending, then
@@ -223,9 +238,9 @@ def _descend(n: int, rank: int, levels) -> list:
     """Pre-order items of the tree at position ``rank`` of magnitude n.
 
     Each item is a ``_SPLIT`` marker (an internal node whose left and then
-    right subtree follow) or ``table[m][r]``, the entry for the subtree of
-    magnitude m <= ``_UNRANK_TABLE_LIMIT`` at rank r; ``levels(k)`` returns
-    that table filled up to magnitude k. The two folds of this list,
+    right subtree follow) or ``table[m][r]``, the shape or the branch counts
+    of the subtree of magnitude m <= ``_UNRANK_TABLE_LIMIT`` at rank r;
+    ``levels(k)`` returns that table filled up to magnitude k. The two folds,
     ``unrank_tree`` and ``unrank_profile``, describe the same tree:
     enumerate_trees(n)[rank] == unrank_tree(n, rank), and
     unrank_profile(n, rank) == branch_counts(unrank_tree(n, rank)).
@@ -267,9 +282,9 @@ def unrank_tree(n: int, rank: int) -> Tree:
     return built[0]
 
 
-def _fold_profile(preorder: list, size: int) -> Tuple[int, Tuple[int, ...]]:
-    """(root order, branch counts) of a pre-order list of ``_SPLIT`` markers
-    and (root order, branch counts) pairs of whole subtrees.
+def _fold_profile(preorder: list, size: int) -> Tuple[int, ...]:
+    """Branch counts of a pre-order list of ``_SPLIT`` markers and the
+    branch counts of whole subtrees, whose lengths are their root orders.
 
     Branch counts add over subtrees, and a split adds a branch only where its
     two subtree roots share an order o: it starts an order-(o+1) branch. So
@@ -288,26 +303,23 @@ def _fold_profile(preorder: list, size: int) -> Tuple[int, Tuple[int, ...]]:
             else:
                 orders.append(a if a > b else b)
         else:
-            o, sub = item
-            for i, k in enumerate(sub):
+            for i, k in enumerate(item):
                 counts[i] += k
-            orders.append(o)
-    top = orders[0]
-    return top, tuple(counts[:top])
+            orders.append(len(item))
+    return tuple(counts[: orders[0]])
 
 
-# (root order, branch counts) of every shape in _tree_lists, in the same
-# places: composed from smaller magnitudes by the same fold.
-_profile_lists: dict[int, list] = {1: [(1, (1,))]}
+# Branch counts of every shape in _tree_lists, in the same places: each
+# joined from the counts of its two subtrees.
+_profile_lists: dict[int, list] = {1: [(1,)]}
 
 
 def _all_profiles(n: int) -> dict:
-    """The table shapes' (root order, branch counts) lists by magnitude,
-    filled up to magnitude n."""
+    """The table shapes' branch counts by magnitude, filled up to magnitude n."""
     for k in range(2, n + 1):
         if k not in _profile_lists:
             _profile_lists[k] = [
-                _fold_profile([_SPLIT, a, b], k.bit_length())
+                join(a, b)
                 for j in range(1, k)
                 for a in _profile_lists[j]
                 for b in _profile_lists[k - j]
@@ -319,8 +331,8 @@ def unrank_profile(n: int, rank: int) -> BranchProfile:
     """Branch profile of ``unrank_tree(n, rank)``, folded from the same
     descent without building the tree."""
     # A root order never exceeds floor(log2 n) + 1, the bit length of n.
-    _, counts = _fold_profile(_descend(n, rank, _all_profiles), n.bit_length())
-    return BranchProfile(counts)
+    preorder = _descend(n, rank, _all_profiles)
+    return BranchProfile(_fold_profile(preorder, n.bit_length()))
 
 
 # --- text codec -------------------------------------------------------------

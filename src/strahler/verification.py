@@ -300,7 +300,9 @@ def check_sampler(
     )
     result = sampling.monte_carlo(cfg)
     reference = float(Fraction(mc_n * (mc_n - 1), 2 * (2 * mc_n - 3)))
-    if result.stderr is None or abs(result.mean - reference) > 4 * result.stderr:
+    if result.stderr is None:
+        failures.append(f"the MC mean check needs at least 2 trials, got {trials}")
+    elif abs(result.mean - reference) > 4 * result.stderr:
         failures.append(
             f"MC mean {result.mean:.5f} not within 4 stderr "
             f"({result.stderr}) of {reference:.5f}"

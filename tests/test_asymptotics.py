@@ -193,14 +193,13 @@ def test_convergence_report_expectation_slope(engine):
     report = asym.convergence_report(engine, parse("S1"), 2, [50, 100, 200, 300])
     assert report.fitted_slope is not None
     assert report.fitted_slope <= 1 - 2 + 0.3
-    assert report.slope_ok
+    assert [row.n for row in report.rows] == [50, 100, 200, 300]
+    assert all(row.residual != 0 for row in report.rows)
 
 
 def test_convergence_report_constant_observable(engine):
     report = asym.convergence_report(engine, parse("1"), 2, [10, 20, 40])
-    assert report.converged
     assert report.fitted_slope is None
-    assert report.slope_ok
     assert all(row.residual == 0 for row in report.rows)
 
 

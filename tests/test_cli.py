@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,32 @@ def test_enumerate_all_shapes(capsys):
     assert {row["profile"] for row in rows} == {"4 1", "4 2 1"}
 
 
+def test_enumerate_max_n_sets_its_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--max-n", "6")
+    assert code == 0
+    assert len(parse_csv(out)) == 42
+    code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--max-n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration of magnitude 6 exceeds the limit 3\n"
+
+
+def test_exact_values_past_the_int_str_limit_print_whole(capsys):
+    # 5^10000 has 6990 digits, past the interpreter's 4300-digit limit on
+    # int-to-str conversion.
+    code, out, err = run_cli(capsys, "expect", "--n", "5", "--f", "S1^10000")
+    assert code == 0, err
+    value = parse_csv(out)[0]["value"]
+    assert len(value) == 6990 and Decimal(value) == 5**10000
+    code, out, err = run_cli(capsys, "ratio", "--n", "5", "--f", "S1^10000")
+    assert code == 0, err
+    assert Decimal(parse_csv(out)[0]["limit"]) == 4**10000
+    code, out, err = run_cli(capsys, "asympt", "--n", "5", "--f", "S1^10000")
+    assert code == 0, err
+    row = parse_csv(out)[0]
+    assert Decimal(row["asymptotic"]) == Decimal(row["exact"]) == 5**10000
+
+
 def test_enumerate_takes_only_the_flags_it_reads(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--max-n", "3")
     assert code == 0
@@ -246,6 +273,7 @@ def test_exit_code_usage_errors(capsys):
         ["sample", "--n", "5", "--trials", "0"],
         ["sample", "--n", "0"],
         ["verify", "--trials", "0"],
+        ["verify", "--trials", "1"],  # one trial has no standard error
         ["expect", "--n", "5", "--max-n", "-1"],
         ["expect", "--n", "5", "--max-n", "0"],
         ["verify", "--max-n", "-1", "--trials", "5"],
@@ -314,6 +342,9 @@ def test_horton_ratio_observable_answers(capsys):
 FUZZ_OBSERVABLES = (
     "S1", "S1^2", "S2/S1", "S1*S2-S3", "1", "1/S2", "S1-S1",
     "S1++", "S0", "(S1", "2/0", "",
+    # past the interpreter's 4300-digit int conversion limit: as a value,
+    # and as an exponent the parser reads
+    "S1^10000", "S1^" + "1" * 5000,
 )
 
 
@@ -499,6 +530,11 @@ def test_verify_corruption_hook_names_failing_check(capsys, monkeypatch):
     named = {c["name"]: c for c in summary["checks"]}
     assert named["multiplicity"]["passed"] is False
     assert named["multiplicity"]["detail"] == "induced corruption"
+
+
+def test_sampler_check_names_its_two_trial_minimum():
+    failures, _ = verification.check_sampler(None, max_n=6, trials=1)
+    assert "the MC mean check needs at least 2 trials, got 1" in failures
 
 
 def test_verify_subset_passes_cleanly():

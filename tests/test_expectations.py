@@ -11,7 +11,6 @@ from strahler.expectations import (
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
-    _join,
 )
 from strahler.observables import NonzeroOverZeroError, Observable, parse
 from strahler.verification import HORTON_FLOAT_GRID, MOMENT_RATIO_GRID
@@ -119,16 +118,6 @@ def test_bruteforce_examples(engine):
     assert engine.expectation_bruteforce(5, 2, S1SQ) == Fraction(16, 7)
     for n in (1, 3, 6, 9):
         assert engine.expectation_bruteforce(n, 1, S1) == n
-
-
-def test_join_rule_by_hand():
-    # Unequal root orders: the larger order runs on, the counts add.
-    assert _join((1,), (2, 1)) == (3, 1)
-    assert _join((4, 2, 1), (2, 1)) == (6, 3, 1)
-    # Equal root orders r: both root branches end and one order-(r+1) branch starts.
-    assert _join((1,), (1,)) == (2, 1)
-    assert _join((2, 1), (3, 1)) == (5, 2, 1)
-    assert _join((4, 2, 1), (5, 2, 1)) == (9, 4, 2, 1)
 
 
 def test_profile_tally_matches_per_shape_tally():

@@ -71,6 +71,17 @@ def test_parse_errors_carry_offsets(text, position):
     assert excinfo.value.position == position
 
 
+def test_overlong_integer_rejected_at_its_offset():
+    # Past the interpreter's int conversion limit a digit run is a parse
+    # error at its first digit, as an exponent or as a literal.
+    for text, position in (("S1^" + "1" * 5000, 3), ("2 + " + "9" * 5000, 4)):
+        with pytest.raises(obs.ObservableSyntaxError) as excinfo:
+            obs.parse(text)
+        assert excinfo.value.position == position
+        assert "5000 digits" in str(excinfo.value)
+    assert obs.parse("S1^10000").text == "S1^10000"
+
+
 def test_non_ascii_rejected_at_offset():
     with pytest.raises(obs.ObservableSyntaxError) as excinfo:
         obs.parse("(S1 - 3)^2 + 1/2·S2")

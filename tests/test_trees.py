@@ -136,6 +136,23 @@ def test_unrank_rejects_out_of_range():
         trees.unrank_tree(4, -1)
 
 
+def test_join_rule_by_hand():
+    # Unequal root orders: the larger order runs on, the counts add.
+    assert trees.join((1,), (2, 1)) == (3, 1)
+    assert trees.join((4, 2, 1), (2, 1)) == (6, 3, 1)
+    # Equal root orders r: both root branches end and one order-(r+1) branch starts.
+    assert trees.join((1,), (1,)) == (2, 1)
+    assert trees.join((2, 1), (3, 1)) == (5, 2, 1)
+    assert trees.join((4, 2, 1), (5, 2, 1)) == (9, 4, 2, 1)
+
+
+def test_profile_table_holds_branch_counts_of_table_shapes():
+    shapes = trees._all_trees(8)
+    profiles = trees._all_profiles(8)
+    for k in range(1, 9):
+        assert profiles[k] == [trees.branch_counts(t).counts for t in shapes[k]], k
+
+
 def test_profile_invariants_exhaustive():
     for n in range(1, 9):
         for t in trees.enumerate_trees(n):
