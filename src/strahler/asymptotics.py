@@ -140,20 +140,24 @@ def ratio_asymptotic(init: AsymptoticCoeffs, r: int, n: int) -> RatioExpansion:
 # -- empirical extraction and convergence measurement --------------------------
 
 
+_TWO_MAGNITUDES = "need at least two distinct magnitudes to fit"
+
+
 def fit_initial_coeffs(
     engine: ExpectationEngine, f: Observable, ns: Sequence[int] = (120, 200, 300)
 ) -> AsymptoticCoeffs:
     """Estimate order-1 data (k, a1, b1) from exact expectations at the two
-    largest magnitudes of ``ns``; no other magnitude is evaluated.
+    largest distinct magnitudes of ``ns``; no other magnitude is evaluated.
 
     Fallback for multivariable observables, where no symbolic Laurent form
     is available: k is matched from growth between the two points, then
     (a1, b1) solve the two-term model there exactly. The estimates carry
     O(1/n) contamination; they are for reporting, not identities.
     """
-    if len(ns) < 2:
-        raise ValueError("need at least two magnitudes to fit")
-    n1, n2 = sorted(ns)[-2:]
+    distinct = sorted(set(ns))
+    if len(distinct) < 2:
+        raise ValueError(_TWO_MAGNITUDES)
+    n1, n2 = distinct[-2:]
     e1, e2 = engine.expectation_exact(n1, 1, f), engine.expectation_exact(n2, 1, f)
     v1, v2 = float(e1), float(e2)
     if v1 == 0 or v2 == 0:
@@ -268,7 +272,10 @@ class VariancePipelineReport:
 def variance_pipeline_report(
     engine: ExpectationEngine, n_grid: Sequence[int]
 ) -> VariancePipelineReport:
-    """Compare exact Var(S_3) growth against the two candidate predictions."""
+    """Compare exact Var(S_3) growth against the two candidate predictions;
+    the line fit needs at least two distinct magnitudes in ``n_grid``."""
+    if len(set(n_grid)) < 2:
+        raise ValueError(_TWO_MAGNITUDES)
     rows = tuple((n, engine.variance(n, 3, mode="exact")) for n in sorted(n_grid))
 
     # Least-squares line v = a*n + b through the exact points.

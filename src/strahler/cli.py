@@ -430,6 +430,10 @@ def main(argv=None) -> int:
     except (LimitExceededError, EnumerationLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LIMIT
+    except MemoryError:
+        # A window as long as a huge variable index (S99999999999), say.
+        print("error: out of memory; the query is too large to compute", file=sys.stderr)
+        return EXIT_LIMIT
     except (
         DegenerateRatioError,
         NonzeroOverZeroError,

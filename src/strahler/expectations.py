@@ -28,8 +28,9 @@ Float mode uses the log-gamma rows w(n, m) and carries a first-order
 absolute error bound alongside every value.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
-key (mode, canonical text of the possibly rebound observable, level), so
-results do not depend on call order. A fill assigns a longer table under
+key (mode, observable, level); the observable, possibly rebound, hashes
+and compares by its AST and is never printed. Results do not depend on
+call order. A fill assigns a longer table under
 its key and never mutates one; every entry is a pure function of the key
 and its magnitude, which keeps concurrent use safe under the usual dict
 atomicity. Magnitudes below 2 are read off their window, (n, 0, ...) at
@@ -160,7 +161,7 @@ class ExpectationEngine:
     def _level(self, arith: _Arithmetic, f: Observable, j: int, top: int):
         """The level-j table of f over magnitudes 0..top; its magnitude-0 slot
         is a zero that no entry of magnitude >= 2 weights."""
-        key = (arith, f.text, j)
+        key = (arith, f, j)
         table = self._tables.get(key, ())
         done = len(table)
         if done > top:

@@ -15,8 +15,10 @@ Grammar (ASCII, whitespace insignificant)::
     base   := "S" uint | uint | "(" expr ")"
 
 Exponents must be literal non-negative integers; rational constants are
-written as quotients (e.g. ``1/2``). Any divisor that is identically the
-zero polynomial is rejected at parse time.
+written as quotients (e.g. ``1/2``). A divisor that is identically the
+zero polynomial is rejected at parse time, at the offset of its first byte
+(``S1/(S2-S2)`` at 3); the parse also records the observable's arity, its
+largest variable index.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from typing import Sequence, Tuple
 Node = tuple
 
 # Bound on both the height of an expression's tree and the nesting of its
-# parentheses. The parser recurses about 4 frames per open group and every
-# pass over the tree 1 frame per level, so this keeps all of them far inside
-# the interpreter's recursion limit. The two share one bound because
-# canonical text parenthesises every binary node, nesting as deep as its
-# tree is high: a flat sum of more than MAX_DEPTH terms is rejected too,
-# and every accepted expression's canonical text reparses.
+# parentheses. The parser recurses 4 frames per open group (``_parse_expr``
+# at the sum and the product level, ``_parse_factor``, ``_parse_base``) and
+# every pass over the tree 1 frame per level, so this keeps all of them far
+# inside the interpreter's recursion limit. Nesting and height share one
+# bound because canonical text parenthesises every binary node and so nests
+# as deep as its tree is high: a tree higher than the nesting bound would
+# print text that does not reparse. A flat sum of more than MAX_DEPTH terms
+# is therefore rejected too.
 MAX_DEPTH = 100
 
 
@@ -51,10 +55,15 @@ class NonzeroOverZeroError(ZeroDivisionError):
 
 
 class _Scanner:
+    """Reads one observable and records its facts on the way: the largest
+    variable index (at least 1) and each divisor with its first byte's offset."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.open_groups = 0
+        self.arity = 1
+        self.divisors: list = []
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -86,29 +95,24 @@ def _too_deep(position: int) -> ObservableSyntaxError:
 
 
 # Each parser returns (node, height), the height of its tree (a variable
-# or literal has height 1).
+# or literal has height 1). ``_parse_expr`` reads the binary operators of
+# one precedence level, loosest first: sums at level 0, products at level 1.
+_OPERATORS = (("+", "-"), ("*", "/"))
 
 
-def _parse_expr(s: _Scanner) -> Tuple[Node, int]:
-    node, height = _parse_term(s)
-    while s.peek() in ("+", "-"):
+def _parse_expr(s: _Scanner, level: int = 0) -> Tuple[Node, int]:
+    last = level == len(_OPERATORS) - 1
+    node, height = _parse_factor(s) if last else _parse_expr(s, level + 1)
+    while s.peek() in _OPERATORS[level]:
         op_pos = s.pos
         s.pos += 1
-        right, right_height = _parse_term(s)
-        node = (s.text[op_pos], node, right)
-        height = max(height, right_height) + 1
-        if height > MAX_DEPTH:
-            raise _too_deep(op_pos)
-    return node, height
-
-
-def _parse_term(s: _Scanner) -> Tuple[Node, int]:
-    node, height = _parse_factor(s)
-    while s.peek() in ("*", "/"):
-        op_pos = s.pos
-        s.pos += 1
-        right, right_height = _parse_factor(s)
-        node = (s.text[op_pos], node, right)
+        s.skip_ws()
+        start = s.pos
+        right, right_height = _parse_factor(s) if last else _parse_expr(s, level + 1)
+        op = s.text[op_pos]
+        if op == "/":
+            s.divisors.append((start, right))
+        node = (op, node, right)
         height = max(height, right_height) + 1
         if height > MAX_DEPTH:
             raise _too_deep(op_pos)
@@ -132,6 +136,7 @@ def _parse_base(s: _Scanner) -> Tuple[Node, int]:
         j = s.take_uint()
         if j < 1:
             raise ObservableSyntaxError("variable index must be >= 1", s.pos - 1)
+        s.arity = max(s.arity, j)
         return ("var", j), 1
     if c.isdigit():
         return ("lit", s.take_uint()), 1
@@ -151,17 +156,6 @@ def _parse_base(s: _Scanner) -> Tuple[Node, int]:
     if c == "":
         raise ObservableSyntaxError("unexpected end of expression", s.pos)
     raise ObservableSyntaxError(f"unexpected character {c!r}", s.pos)
-
-
-def _arity(node: Node) -> int:
-    op = node[0]
-    if op == "var":
-        return node[1]
-    if op == "lit":
-        return 0
-    if op == "^":
-        return _arity(node[1])
-    return max(_arity(node[1]), _arity(node[2]))
 
 
 def _print(node: Node) -> str:
@@ -276,9 +270,9 @@ class Observable:
 
     __slots__ = ("ast", "arity", "_text")
 
-    def __init__(self, ast: Node):
+    def __init__(self, ast: Node, arity: int):
         self.ast = ast
-        self.arity = max(1, _arity(ast))
+        self.arity = arity
         self._text: str | None = None
 
     @property
@@ -313,7 +307,7 @@ class Observable:
         """Fix the first variable to ``value`` and renumber the rest down."""
         if self.arity < 2:
             raise ValueError("bind_first requires arity >= 2")
-        return Observable(_shift(self.ast, value))
+        return Observable(_shift(self.ast, value), self.arity - 1)
 
     def rational_coeffs(self) -> Tuple[list, list]:
         """Integer numerator/denominator coefficient lists (ascending powers of S1).
@@ -334,21 +328,6 @@ class Observable:
         return as_list(num), as_list(den)
 
 
-def _check_divisors(node: Node, arity: int):
-    op = node[0]
-    if op in ("var", "lit"):
-        return
-    if op == "^":
-        _check_divisors(node[1], arity)
-        return
-    _check_divisors(node[1], arity)
-    _check_divisors(node[2], arity)
-    if op == "/":
-        num, _den = _rational(node[2], arity)
-        if not num:
-            raise ObservableSyntaxError("division by the zero polynomial", 0)
-
-
 def parse(text: str) -> Observable:
     """Parse observable text, rejecting malformed input with a byte offset."""
     for i, ch in enumerate(text):
@@ -359,6 +338,10 @@ def parse(text: str) -> Observable:
     s.skip_ws()
     if s.pos != len(text):
         raise ObservableSyntaxError("trailing characters after expression", s.pos)
-    obs = Observable(ast)
-    _check_divisors(ast, obs.arity)
-    return obs
+    # A divisor is recorded once read, after any divisor inside it; the
+    # first zero one in the text is reported.
+    for position, divisor in sorted(s.divisors):
+        num, _den = _rational(divisor, s.arity)
+        if not num:
+            raise ObservableSyntaxError("division by the zero polynomial", position)
+    return Observable(ast, s.arity)

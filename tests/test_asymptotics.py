@@ -167,6 +167,21 @@ def test_fit_initial_coeffs_evaluates_only_the_two_largest_magnitudes():
     assert fitted == asym.fit_initial_coeffs(ExpectationEngine(), ratio, ns=(40, 60))
 
 
+def test_fits_need_two_distinct_magnitudes():
+    engine = ExpectationEngine()
+    ratio = parse("S2/S1")
+    for ns in ((), (200,), (200, 200)):
+        with pytest.raises(ValueError, match="two distinct magnitudes"):
+            asym.fit_initial_coeffs(engine, ratio, ns)
+    for grid in ([], [100], [100, 100]):
+        with pytest.raises(ValueError, match="two distinct magnitudes"):
+            asym.variance_pipeline_report(engine, grid)
+    # A repeated magnitude is one point: the fit takes the two largest distinct.
+    assert asym.fit_initial_coeffs(engine, ratio, (40, 60, 60)) == (
+        asym.fit_initial_coeffs(engine, ratio, (40, 60))
+    )
+
+
 def test_log_slope_fits_exact_logs_beyond_the_float_range():
     # A nonzero y whose float underflows or overflows is fitted at its exact
     # log, taken from its numerator and denominator.

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strahler import cli, sampling, verification
+from strahler.observables import Observable
 
 
 def run_cli(capsys, *argv):
@@ -447,6 +448,28 @@ def test_exit_code_resource_limit(capsys):
         capsys, "expect", "--n", "400", "--mode", "exact", "--max-n", "400"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["expect", "--n", "5"],
+        ["ratio", "--n", "5"],
+        ["sample", "--n", "5", "--trials", "10"],
+        ["asympt", "--n-grid", "50,100"],
+    ),
+)
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch, argv):
+    # A huge variable index (S99999999999) asks for a window that long; the
+    # allocation is simulated, since an overcommitting machine may grant it.
+    def exhausted(self, values):
+        raise MemoryError
+
+    monkeypatch.setattr(Observable, "evaluate", exhausted)
+    code, out, err = run_cli(capsys, *argv, "--f", "S1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sample_fails_fast_without_a_reference(capsys, monkeypatch):

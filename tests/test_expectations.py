@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from strahler import combinatorics as comb
+from strahler import observables
 from strahler import trees
 from strahler.expectations import (
     ORACLE_LIMIT,
@@ -173,6 +174,21 @@ def test_dividing_observables_match_bruteforce(engine):
                 est = engine.expectation_float(n, r, f)
                 error = abs(Fraction(est.value) - expected)
                 assert error <= Fraction(est.rel_error_bound) * abs(expected), (text, r, n)
+
+
+def test_tables_never_print_an_observable(monkeypatch):
+    # The level tables are keyed by the observable itself, not its text.
+    fs = [parse("S2/S1"), parse("S1*S2-S3")]
+    queries = [(n, r, f) for f in fs for r in (1, 2, 3) for n in range(1, 61)]
+    reference = ExpectationEngine()
+    expected = [reference.expectation_exact(n, r, f) for n, r, f in queries]
+
+    def unprinted(node):
+        raise AssertionError("an observable was printed")
+
+    monkeypatch.setattr(observables, "_print", unprinted)
+    engine = ExpectationEngine()
+    assert [engine.expectation_exact(n, r, f) for n, r, f in queries] == expected
 
 
 def test_no_evaluation_error_is_swallowed(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -63,6 +64,11 @@ def test_rational_constants_stay_exact():
         ("S1 @ 2", 3),
         ("(S1", 3),
         ("S1)", 2),
+        # A zero divisor at its first byte, after every syntax error.
+        ("S1/(S2-S2)", 3),
+        ("S1 /  0", 6),
+        ("1/(S1/(S1-S1))", 6),
+        ("S1/0 +", 6),
     ],
 )
 def test_parse_errors_carry_offsets(text, position):
@@ -97,6 +103,32 @@ def test_zero_polynomial_divisor_rejected():
         obs.parse("S1/(S1*S2 - S2*S1)")
     # A divisor that merely can vanish pointwise is fine.
     obs.parse("S1/(S1-1)")
+
+
+def test_arity_is_the_largest_index_in_the_text():
+    texts = [
+        "1/2",
+        "7",
+        "S1",
+        "S3",
+        "S2/S1",
+        "S1*S2-S3",
+        "S10+S2",
+        "(S4-1)^2/(S2+1)",
+        "S1*S2*S3*S4*S5",
+        "S5 - S5 + 1",
+        "(S1+1)^10000",
+    ]
+    battery = []
+    for text in texts:
+        f = obs.parse(text)
+        battery.append(f)
+        while f.arity >= 2:
+            f = f.bind_first(3)
+            battery.append(f)
+    for f in battery:
+        indices = [int(j) for j in re.findall(r"S(\d+)", f.text)]
+        assert f.arity == max(indices, default=1), f.text
 
 
 def test_bind_first_examples():
