@@ -109,6 +109,8 @@ class _UsageError(Exception):
 
 def _grid(args) -> list:
     if args.n_grid is not None:
+        if args.n is not None:
+            raise _UsageError("--n and --n-grid cannot be given together")
         return args.n_grid
     if args.n is None:
         raise _UsageError("one of --n or --n-grid is required")

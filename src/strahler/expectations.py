@@ -21,6 +21,10 @@ independent oracle:
   pushed law is memoised per (mode, n, step), so a higher order of the same
   magnitude continues from the last law an earlier query left.
 
+Every public query resolves its mode once, in ``_arithmetic``: auto is exact
+up to ``exact_limit`` and float past it, where it warns once, at the caller
+of the query; an explicit exact query past the ceiling raises.
+
 The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
 whenever f is integer-valued, divided by c_{n-1} once per answer or table.
@@ -84,6 +88,7 @@ class _Arithmetic(NamedTuple):
     dot yields the sum, its absolute mass and the propagated error.
     """
 
+    name: str  # "exact" or "float"
     dtype: type
     row: Callable  # n -> K(n, .) over m = 0..n//2
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
@@ -96,7 +101,8 @@ class ExpectationEngine:
     """Exact and floating expectation queries over shared level tables.
 
     ``exact_limit`` caps exact recursion, beyond which auto mode falls back
-    to floats with a warning. Oracle queries are capped at ``ORACLE_LIMIT``.
+    to floats with one warning, attributed to the caller of the public query.
+    Oracle queries are capped at ``ORACLE_LIMIT``.
     """
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT):
@@ -140,8 +146,7 @@ class ExpectationEngine:
     # -- the kernel, backward -------------------------------------------------
 
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
-        _validate_query(n, r)
-        self._check_exact_limit(n)
+        self._arithmetic(n, r, "exact")
         return Fraction(self._expect(_EXACT, n, r, f), comb.catalan(n - 1))
 
     def expectation_float(self, n: int, r: int, f: Observable) -> FloatEstimate:
@@ -189,7 +194,7 @@ class ExpectationEngine:
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """Dispatch by mode; auto switches to float past the exact ceiling."""
-        if self._arithmetic(n, mode) is _EXACT:
+        if self._arithmetic(n, r, mode) is _EXACT:
             return self.expectation_exact(n, r, f)
         return self.expectation_float(n, r, f).value
 
@@ -202,26 +207,32 @@ class ExpectationEngine:
             return mode
         raise ValueError(f"unknown mode {mode!r}")
 
-    def _arithmetic(self, n: int, mode: str) -> _Arithmetic:
-        """The arithmetic a public query in ``mode`` uses at magnitude n."""
-        if self.mode_for(n, mode) == "exact":
-            return _EXACT
-        if mode == "auto":
+    def _arithmetic(self, n: int, r: int, mode: str) -> _Arithmetic:
+        """The arithmetic a public query in ``mode`` uses at magnitude n and
+        base order r, resolved here and nowhere else. An unknown mode raises;
+        an auto fallback to float warns once, at the caller of the public
+        query; then the query is validated, and an explicit exact mode past
+        the ceiling raises."""
+        exact = self.mode_for(n, mode) == "exact"
+        if not exact and mode == "auto":
             warnings.warn(
                 f"magnitude {n} exceeds the exact ceiling {self.exact_limit}; "
                 "falling back to float mode",
                 stacklevel=3,
             )
-        return _FLOAT
+        _validate_query(n, r)
+        if exact and n > self.exact_limit:
+            raise LimitExceededError(
+                f"magnitude {n} exceeds the exact-mode limit {self.exact_limit}"
+            )
+        return _EXACT if exact else _FLOAT
 
     # -- the kernel, forward --------------------------------------------------
 
     def distribution(self, n: int, r: int, mode: str = "exact") -> dict:
         """P_n(S_r = s) over the nonzero support, exact, float or auto."""
-        _validate_query(n, r)
-        arith = self._arithmetic(n, mode)
-        if arith is _EXACT:
-            self._check_exact_limit(n)
+        _validate_query(n, r)  # a bad n or r is reported ahead of a bad mode
+        arith = self._arithmetic(n, r, mode)
         law = self._law(arith, n, min(r - 1, n.bit_length()))  # then it stays at δ_0
         total = arith.scale(n)
         return {
@@ -246,16 +257,11 @@ class ExpectationEngine:
         law = self._laws[key] = pushed.tolist()
         return law
 
-    def _check_exact_limit(self, n: int):
-        if n > self.exact_limit:
-            raise LimitExceededError(
-                f"magnitude {n} exceeds the exact-mode limit {self.exact_limit}"
-            )
-
     # -- derived statistics -------------------------------------------------------
 
     def bifurcation_ratio(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """E_n[f at base r] / E_n[f at base r+1]; exact when mode allows."""
+        mode = self._arithmetic(n, r, mode).name
         num = self.expectation(n, r, f, mode)
         den = self.expectation(n, r + 1, f, mode)
         if den == 0:
@@ -266,6 +272,7 @@ class ExpectationEngine:
 
     def variance(self, n: int, r: int, mode: str = "auto"):
         """Var(S_r) over magnitude n: E[S_r^2] - E[S_r]^2."""
+        mode = self._arithmetic(n, r, mode).name
         sq = self.expectation(n, r, _SQUARE, mode)
         mean = self.expectation(n, r, _LINEAR, mode)
         return sq - mean * mean
@@ -301,13 +308,13 @@ def _weight_error(n: int) -> float:
     return 8 * _EPS * max(1.0, 2 * n * math.log1p(2 * n))
 
 
-# (dtype, row, scale, leaf, settle, divide) of each mode
+# (name, dtype, row, scale, leaf, settle, divide) of each mode
 _EXACT = _Arithmetic(
-    object, comb.multiplicity_row, lambda m: comb.catalan(max(m - 1, 0)), _integral,
-    lambda n, dot: dot, Fraction,
+    "exact", object, comb.multiplicity_row, lambda m: comb.catalan(max(m - 1, 0)),
+    _integral, lambda n, dot: dot, Fraction,
 )
 _FLOAT = _Arithmetic(
-    float, comb.float_weight_row, lambda m: 1, _float_leaf, _float_settle,
+    "float", float, comb.float_weight_row, lambda m: 1, _float_leaf, _float_settle,
     operator.truediv,
 )
 

@@ -268,19 +268,16 @@ def _rational(node: Node, arity: int) -> Tuple[dict, dict]:
 class Observable:
     """A parsed observable: evaluable exactly, rebindable, printable."""
 
-    __slots__ = ("ast", "arity", "_text")
+    __slots__ = ("ast", "arity")
 
     def __init__(self, ast: Node, arity: int):
         self.ast = ast
         self.arity = arity
-        self._text: str | None = None
 
     @property
     def text(self) -> str:
         """Canonical form; reparsing it yields an equal AST."""
-        if self._text is None:
-            self._text = _print(self.ast)
-        return self._text
+        return _print(self.ast)
 
     def __str__(self) -> str:
         return self.text

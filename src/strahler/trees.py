@@ -20,7 +20,7 @@ magnitude are safe regardless of the interpreter recursion limit.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, product, zip_longest
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .combinatorics import catalans
@@ -77,17 +77,8 @@ class BranchProfile(NamedTuple):
 
 
 def magnitude(t: Tree) -> int:
-    """Leaf count of ``t``."""
-    count = 0
-    stack = [t]
-    while stack:
-        v = stack.pop()
-        if v is None:
-            count += 1
-        else:
-            stack.append(v[0])
-            stack.append(v[1])
-    return count
+    """Leaf count of ``t``: a tree of n leaves has 2n - 1 nodes."""
+    return (len(_flatten(t)[0]) + 1) // 2
 
 
 def _flatten(t: Tree):
@@ -167,23 +158,27 @@ def join(a: tuple, b: tuple) -> tuple:
 # --- canonical enumeration -------------------------------------------------
 #
 # Trees of magnitude n are ordered by left-subtree magnitude ascending, then
-# recursively by left rank, then right rank. Unranking follows the same
-# order, so enumerate_trees(n)[i] == unrank_tree(n, i), and
-# unrank_profile(n, i) is that tree's branch profile.
+# recursively by left rank, then right rank. ``_splits`` is that order, the
+# one place it is written: the shape table, the profile table and
+# enumerate_trees all read it, and unranking follows it, so
+# enumerate_trees(n)[i] == unrank_tree(n, i), and unrank_profile(n, i) is
+# that tree's branch profile.
+
+
+def _splits(table: dict, k: int) -> Iterator[tuple]:
+    """The (left, right) pairs of magnitude k in canonical order, where
+    ``table[m]`` lists the items of magnitude m for every m < k."""
+    return chain.from_iterable(product(table[j], table[k - j]) for j in range(1, k))
+
 
 _tree_lists: dict[int, list] = {1: [LEAF]}
 
 
 def _all_trees(n: int) -> dict:
-    """The canonical shape lists by magnitude, filled up to magnitude n."""
-    for k in range(2, n + 1):
-        if k not in _tree_lists:
-            _tree_lists[k] = [
-                (l, r)
-                for j in range(1, k)
-                for l in _tree_lists[j]
-                for r in _tree_lists[k - j]
-            ]
+    """The canonical shape lists by magnitude, filled up to magnitude n; in
+    this table a split pair is the shape."""
+    for k in range(len(_tree_lists) + 1, n + 1):
+        _tree_lists[k] = list(_splits(_tree_lists, k))
     return _tree_lists
 
 
@@ -199,11 +194,7 @@ def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[
         yield LEAF
         return
     # Cache levels below n; stream the top level to keep memory flat.
-    _all_trees(n - 1)
-    for j in range(1, n):
-        for l in _tree_lists[j]:
-            for r in _tree_lists[n - j]:
-                yield (l, r)
+    yield from _splits(_all_trees(n - 1), n)
 
 
 # Subtrees up to this magnitude are looked up in the enumeration table
@@ -316,14 +307,8 @@ _profile_lists: dict[int, list] = {1: [(1,)]}
 
 def _all_profiles(n: int) -> dict:
     """The table shapes' branch counts by magnitude, filled up to magnitude n."""
-    for k in range(2, n + 1):
-        if k not in _profile_lists:
-            _profile_lists[k] = [
-                join(a, b)
-                for j in range(1, k)
-                for a in _profile_lists[j]
-                for b in _profile_lists[k - j]
-            ]
+    for k in range(len(_profile_lists) + 1, n + 1):
+        _profile_lists[k] = [join(a, b) for a, b in _splits(_profile_lists, k)]
     return _profile_lists
 
 

@@ -354,7 +354,7 @@ def run_all(
 ) -> list:
     """Run the named checks (default: all ten) and return their results."""
     if engine is None:
-        engine = ExpectationEngine(exact_limit=max(1000, max_n or 0))
+        engine = ExpectationEngine(exact_limit=1000)
     results = []
     for name in names or CHECKS:
         if name not in CHECKS:

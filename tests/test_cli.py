@@ -293,6 +293,14 @@ def test_exit_code_usage_errors(capsys):
     assert "offset 100" in err
 
 
+@pytest.mark.parametrize("command", ["expect", "ratio", "dist", "sample", "enumerate", "asympt"])
+def test_n_with_n_grid_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "5", "--n-grid", "1,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n and --n-grid cannot be given together\n"
+
+
 def test_exit_code_evaluation_failures(capsys):
     # 1/S2 divides by zero on the single leaf; S1-S1 has no leading term.
     code, _, err = run_cli(capsys, "expect", "--n", "1", "--f", "1/S2")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -238,6 +239,23 @@ def test_auto_mode_switches_with_warning():
     with pytest.warns(UserWarning):
         value = small.expectation(600, 2, S1, mode="auto")
     assert isinstance(value, float)
+
+
+def test_auto_fallback_warns_once_at_the_caller():
+    small = ExpectationEngine(exact_limit=10)
+    for query in (
+        lambda: small.expectation(20, 1, S1),
+        lambda: small.distribution(20, 2, mode="auto"),
+        lambda: small.bifurcation_ratio(20, 1, S1),
+        lambda: small.variance(20, 2),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            query()
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        assert caught[0].category is UserWarning
+        assert "falling back to float mode" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
 
 def test_distribution_modes_match_expectation():
