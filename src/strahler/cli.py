@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
+import math
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from . import asymptotics as asym
@@ -43,14 +45,43 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
+_LOG10_2 = math.log10(2)
+
 
 def _decimal12(value) -> str:
-    """12-significant-digit decimal rendering, exact Fractions included."""
-    if isinstance(value, Fraction):
-        with localcontext() as ctx:
-            ctx.prec = 12
-            return str(Decimal(value.numerator) / Decimal(value.denominator))
-    return f"{float(value):.12g}"
+    """12-significant-digit decimal rendering, exact Fractions included.
+
+    A Fraction is written as ``Decimal`` division at precision 12 writes it:
+    rounded half to even, and an exact quotient reduced toward exponent 0
+    (1/4 is 0.25, 100 is 100). The 12 digits come by integer scaling, so
+    only they, not a long numerator or denominator, become a ``Decimal``.
+    """
+    if not isinstance(value, Fraction):
+        return f"{float(value):.12g}"
+    if not value:
+        return "0"
+    size, den = abs(value.numerator), value.denominator
+    # exp is the exponent of the 12th significant digit: start from the bit
+    # lengths, then step until size/den scaled by 10^-exp has 12 integer digits.
+    exp = math.floor((size.bit_length() - den.bit_length()) * _LOG10_2) - 11
+    while True:
+        top, bottom = (size, den * 10**exp) if exp >= 0 else (size * 10**-exp, den)
+        digits, rest = divmod(top, bottom)
+        if digits < 10**11:
+            exp -= 1
+        elif digits >= 10**12:
+            exp += 1
+        else:
+            break
+    if 2 * rest > bottom or (2 * rest == bottom and digits % 2):
+        digits += 1
+        if digits == 10**12:
+            digits, exp = 10**11, exp + 1
+    elif not rest:
+        while exp < 0 and digits % 10 == 0:
+            digits, exp = digits // 10, exp + 1
+    sign = "-" if value < 0 else ""
+    return str(Decimal(f"{sign}{digits}E{exp}"))
 
 
 def _exact_text(value) -> str:
@@ -372,7 +403,10 @@ def _add_common(sub, with_query=True, with_f=True, with_sampling=False):
         sub.add_argument("--trials", type=_positive_int, default=10000)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    never changes it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="strahler",
         description="Branch-order statistics of the uniform random binary-tree model",

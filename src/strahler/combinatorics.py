@@ -17,6 +17,9 @@ import numpy as np
 
 _LOG2 = math.log(2.0)
 
+# Entries per block of float weight rows: 2^15 float64 entries are 256 KiB.
+_BLOCK_ENTRIES = 1 << 15
+
 # Incrementally grown Catalan cache; list index i holds c_i.
 _catalan_cache: list[int] = [1]
 
@@ -101,29 +104,90 @@ def float_weight_row(n: int) -> np.ndarray:
     c_{m-1} magnitude-m trees has multiplicity(n, m) preimages (w(n, 0) = 0
     for n >= 2).
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
-    branch, and magnitude 0, above the root order, stays put. The row is one
-    vectorised log-gamma expression, so deep float sweeps are not dominated
-    by weight set-up; its log-gamma and q log 2 terms are strided slices of
-    shared tables of ``math.lgamma`` and of q log 2 at the integers.
-    Relative error is a small multiple of
-    the largest lgamma magnitude times machine epsilon (within 1e-12 for n
-    up to a few hundred).
+    branch, and magnitude 0, above the root order, stays put. The row is the
+    one-row case of ``float_weight_rows``. Relative error is a small
+    multiple of the largest lgamma magnitude times machine epsilon (within
+    1e-12 for n up to a few hundred).
     """
-    if n < 2:
-        return np.ones(1)
-    lgammas, q_log2 = _log_tables(n)
-    h = n // 2  # m = 1 .. h, q = n - 2m = n-2, n-4, ..., n-2h
-    logs = (
-        math.lgamma(n - 1)
-        + q_log2[n - 2 :: -2][:h]
-        - lgammas[n - 1 :: -2][:h]
-        - lgammas[2 : h + 2]
-        - lgammas[1 : h + 1]
-        + math.lgamma(n + 1)
-        + math.lgamma(n)
-        - math.lgamma(2 * n - 1)
+    return next(float_weight_rows(n, n))[1]
+
+
+def float_weight_rows(lo: int, hi: int):
+    """Yield (n, float_weight_row(n)) for n = lo..hi in ascending n.
+
+    Rows of magnitude >= 2 come a block of magnitudes at a time, each block
+    one vectorised log-gamma expression (``_weight_block``), so a range of
+    rows costs a few numpy calls per block rather than per row. A block
+    holds about ``_BLOCK_ENTRIES`` entries and each row is a view into it.
+    """
+    for n in range(lo, min(hi, 1) + 1):
+        yield n, np.ones(1)
+    a = max(lo, 2)
+    while a <= hi:
+        # The most rows k for which k rows of width up to (a + k + 1) / 2
+        # stay within the entry budget.
+        k = (math.isqrt((a + 1) ** 2 + 8 * _BLOCK_ENTRIES) - (a + 1)) // 2
+        b = min(hi, a + max(k, 1) - 1)
+        flat, width = _weight_block(a, b)
+        for n in range(a, b + 1):
+            start = (n - a) * width
+            yield n, flat[start : start + n // 2 + 1]
+        a = b + 1
+
+
+def _weight_block(a: int, b: int) -> tuple:
+    """Rows w(n, .) of 2 <= a <= n <= b laid end to end: (flat, width), row
+    n starting at flat[(n - a) * width] with its m = 0 entry.
+
+    Entry m = 1 .. n//2 of row n, q = n - 2m, is the exp of
+    lgamma(n-1) + q log 2 - lgamma(q+1) - lgamma(m+1) - lgamma(m)
+    + lgamma(n+1) + lgamma(n) - lgamma(2n-1), the log of
+    multiplicity(n, m) c_{m-1} / c_{n-1}, added left to right, so an entry
+    has the same bits whichever block builds it. The logs fill a contiguous
+    (rows, width) array over m = 1 .. width, behind one leading slot. Along
+    the rows of one parity of n, the q terms are constant on diagonals, so
+    each parity reads them through Toeplitz views of q log 2 and
+    lgamma(q + 1) gathered once per block; past m = n//2, where q < 0, those
+    read 0 and +inf, so the entries there are exact zeros. Since width >
+    b//2, the last entry of each row is such a zero and doubles as the m = 0
+    entry of the next row. The width is even, so every row starts 16-byte
+    aligned, as a freshly allocated row does.
+    """
+    lgammas, q_log2 = _log_tables(2 * b)
+    ns = np.arange(a, b + 1)
+    width = b // 2 + 2 - b // 2 % 2  # m = 1 .. width
+    flat = np.empty(1 + len(ns) * width)
+    flat[0] = -math.inf  # w(a, 0) = 0
+    logs = flat[1:].reshape(len(ns), width)
+    for first in range(a, min(a + 1, b) + 1):
+        rows = logs[first - a :: 2]
+        count = len(rows)
+        last = first + 2 * (count - 1)
+        # Diagonal u holds q = last - 2 - 2u; row i, column c reads
+        # diagonal count - 1 - i + c.
+        valid, pad = last // 2, count + width - 1 - last // 2
+        q_terms = np.concatenate((q_log2[last - 2 :: -2][:valid], np.zeros(pad)))
+        q_facts = np.concatenate((lgammas[last - 1 :: -2][:valid], np.full(pad, math.inf)))
+        np.add(lgammas[ns[first - a :: 2] - 1, None], _toeplitz(q_terms, count), out=rows)
+        np.subtract(rows, _toeplitz(q_facts, count), out=rows)
+    np.subtract(logs, lgammas[2 : width + 2], out=logs)
+    np.subtract(logs, lgammas[1 : width + 1], out=logs)
+    np.add(logs, lgammas[ns + 1, None], out=logs)
+    np.add(logs, lgammas[ns, None], out=logs)
+    np.subtract(logs, lgammas[2 * ns - 1, None], out=logs)
+    return np.exp(flat, out=flat), width
+
+
+def _toeplitz(diagonals: np.ndarray, count: int) -> np.ndarray:
+    """The (count, len(diagonals) - count + 1) view whose entry (i, c) is
+    diagonals[count - 1 - i + c]."""
+    return np.ndarray(
+        (count, len(diagonals) - count + 1),
+        diagonals.dtype,
+        diagonals,
+        (count - 1) * diagonals.itemsize,
+        (-diagonals.itemsize, diagonals.itemsize),
     )
-    return np.concatenate(([0.0], np.exp(logs)))
 
 
 def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[int, float]:

@@ -91,6 +91,7 @@ class _Arithmetic(NamedTuple):
     name: str  # "exact" or "float"
     dtype: type
     row: Callable  # n -> K(n, .) over m = 0..n//2
+    rows: Callable  # (lo, hi) -> (n, K(n, .)) for n = lo..hi, ascending
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
     leaf: Callable  # scaled observable value -> table entry
     settle: Callable  # (n, K(n, .) @ level below) -> table entry
@@ -173,23 +174,30 @@ class ExpectationEngine:
             return table
         below = self._level(arith, f, j - 1, top // 2) if j > 1 else None
         fresh = [arith.leaf(0)] if done == 0 else []
-        fresh += [self._entry(arith, f, j, m, below) for m in range(max(done, 1), top + 1)]
+        start = max(done, 1)
+        if j == 1 and f.arity == 1:  # every entry is f at its window
+            rows = ((m, None) for m in range(start, top + 1))
+        else:
+            rows = arith.rows(start, top)
+        fresh += [self._entry(arith, f, j, m, below, row) for m, row in rows]
         fresh = np.array(fresh, dtype=arith.dtype)
         table = fresh if done == 0 else np.concatenate((table, fresh))
         self._tables[key] = table
         return table
 
-    def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below):
-        """The entry V_j(n) of f, given the level below when j > 1. A magnitude
-        below 2, or order 1 of a one-variable f, is f at its window; every
-        other entry is one kernel step K(n, .) . (level below), and at order
-        1 that is the step over f with its first variable bound to n."""
+    def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below, row=None):
+        """The entry V_j(n) of f, given the level below when j > 1 and, if the
+        caller has it, the row K(n, .). A magnitude below 2, or order 1 of a
+        one-variable f, is f at its window; every other entry is one kernel
+        step K(n, .) . (level below), and at order 1 that is the step over f
+        with its first variable bound to n."""
         if n < 2 or (j == 1 and f.arity == 1):
             window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
             return arith.leaf(arith.scale(n) * f.evaluate(window))
         if j == 1:
             below = self._level(arith, f.bind_first(n), 1, n // 2)
-        row = arith.row(n)
+        if row is None:
+            row = arith.row(n)
         return arith.settle(n, row @ below[: len(row)])
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
@@ -250,9 +258,10 @@ class ExpectationEngine:
             return [0] * n + [1]
         below = self._law(arith, n, steps - 1)
         pushed = np.zeros((len(below) + 1) // 2, dtype=arith.dtype)
-        for k, x in enumerate(below):
+        support = [k for k, x in enumerate(below) if x]
+        for k, row in arith.rows(support[0], support[-1]):
+            x = below[k]
             if x:
-                row = arith.row(k)
                 pushed[: len(row)] += x * row
         law = self._laws[key] = pushed.tolist()
         return law
@@ -308,14 +317,19 @@ def _weight_error(n: int) -> float:
     return 8 * _EPS * max(1.0, 2 * n * math.log1p(2 * n))
 
 
-# (name, dtype, row, scale, leaf, settle, divide) of each mode
+def _exact_rows(lo: int, hi: int):
+    """(n, multiplicity_row(n)) for n = lo..hi; exact rows come one at a time."""
+    return ((n, comb.multiplicity_row(n)) for n in range(lo, hi + 1))
+
+
+# (name, dtype, row, rows, scale, leaf, settle, divide) of each mode
 _EXACT = _Arithmetic(
-    "exact", object, comb.multiplicity_row, lambda m: comb.catalan(max(m - 1, 0)),
-    _integral, lambda n, dot: dot, Fraction,
+    "exact", object, comb.multiplicity_row, _exact_rows,
+    lambda m: comb.catalan(max(m - 1, 0)), _integral, lambda n, dot: dot, Fraction,
 )
 _FLOAT = _Arithmetic(
-    "float", float, comb.float_weight_row, lambda m: 1, _float_leaf, _float_settle,
-    operator.truediv,
+    "float", float, comb.float_weight_row, comb.float_weight_rows, lambda m: 1,
+    _float_leaf, _float_settle, operator.truediv,
 )
 
 _LINEAR = _parse("S1")

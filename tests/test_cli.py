@@ -8,7 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -67,6 +67,82 @@ def test_output_is_byte_identical_across_runs(capsys, tmp_path):
     code3, _, _ = run_cli(capsys, *argv, "--out", str(path))
     assert path.read_text() == out1
     assert out1.endswith("\n") and "\r" not in out1
+
+
+def _run_alone(*argv):
+    """Exit code, stdout and stderr of one ``main`` call in a fresh interpreter."""
+    script = "import sys\nfrom strahler import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "COLUMNS": "80"},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main reuses one parser per process: a call with non-default flags
+    # leaves nothing behind that a later call with default flags would read.
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps as in _run_alone
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    for flagged, default in (
+        (["expect", "--n", "12", "--r", "2", "--f", "S2/S1", "--format", "json"],
+         ["expect", "--n", "12", "--r", "2"]),
+        (["sample", "--n", "12", "--trials", "50", "--seed", "7"],
+         ["sample", "--n", "12", "--trials", "50"]),
+    ):
+        assert run_cli(capsys, *flagged)[0] == 0
+        assert run_cli(capsys, *default) == _run_alone(*default)
+    for argv in (["expect", "--n", "0"], ["expect", "--n", "5", "--bogus"]):
+        cli.build_parser.cache_clear()
+        calls = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            calls.append((excinfo.value.code, *capsys.readouterr()))
+        assert calls[0] == calls[1] == _run_alone(*argv)
+
+
+def _decimal12_by_division(value):
+    """The rendering as ``Decimal`` division at precision 12 gives it."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+_digits = st.integers(-(10**40), 10**40)
+_scales = st.integers(-40, 40).map(lambda e: Fraction(10) ** e)
+_rationals = st.one_of(
+    st.builds(Fraction, _digits, st.integers(1, 10**40)),
+    # exact quotients: short decimals, binary and quinary fractions, powers of ten
+    st.builds(lambda c, s: c * s, st.integers(-(10**14), 10**14), _scales),
+    st.builds(Fraction, _digits, st.integers(0, 60).map(lambda k: 2**k)),
+    st.builds(Fraction, _digits, st.integers(0, 60).map(lambda k: 5**k)),
+    st.builds(lambda sign, s, d: sign * s + d, st.sampled_from((1, -1)), _scales,
+              st.sampled_from((0, 1, -1))),
+    # ties at the 13th significant digit, and 12 nines rounding up
+    st.builds(lambda c, s: Fraction(10 * c + 5) * s, st.integers(-(10**12), 10**12), _scales),
+    st.builds(lambda c, s: Fraction(2 * c + 1, 2) * s, st.integers(10**11, 10**12), _scales),
+    st.builds(lambda k, s: (10**k - 1) * s / 10, st.integers(12, 14), _scales),
+)
+
+
+@given(_rationals)
+def test_decimal12_equals_decimal_division(value):
+    assert cli._decimal12(value) == _decimal12_by_division(value)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.builds(lambda m, k, t: m * 10**k + t, st.integers(-(10**6), 10**6).filter(bool),
+              st.integers(99_990, 100_010), st.integers(0, 10**6)),
+    st.builds(lambda m, k, t: m * 10**k + t, st.integers(1, 10**6),
+              st.integers(99_990, 100_010), st.integers(0, 10**6)),
+)
+def test_decimal12_equals_decimal_division_on_long_operands(top, bottom):
+    # 10^5-digit operands, over a small or a long denominator
+    for value in (Fraction(top, bottom), Fraction(top)):
+        assert cli._decimal12(value) == _decimal12_by_division(value)
 
 
 def test_csv_and_json_carry_identical_values(capsys):

@@ -118,6 +118,19 @@ def test_float_weight_row_equals_the_gather_formula():
         assert np.array_equal(comb.float_weight_row(n), gathered), n
 
 
+def test_float_weight_rows_equal_single_rows():
+    # A row has the same bits whichever block builds it and wherever in the
+    # block it sits; rows come in ascending magnitude, one per magnitude.
+    ranges = [(lo, 600) for lo in range(4)]
+    ranges += [(1000, 1300), (1001, 1300), (3990, 4100), (9990, 10010), (5, 4), (0, 1)]
+    ranges += [(n, n) for n in (0, 1, 2, 3, 17, 1000, 4001, 9999, 10**4)]
+    for lo, hi in ranges:
+        rows = list(comb.float_weight_rows(lo, hi))
+        assert [n for n, _ in rows] == list(range(lo, hi + 1)), (lo, hi)
+        for n, row in rows:
+            assert np.array_equal(row, comb.float_weight_row(n)), (lo, hi, n)
+
+
 def test_weight_mode_validation():
     with pytest.raises(ValueError):
         comb.order2_weights(10, "bogus")

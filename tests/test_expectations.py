@@ -3,16 +3,20 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from strahler import combinatorics as comb
 from strahler import observables
 from strahler import trees
 from strahler.expectations import (
+    _FLOAT,
     ORACLE_LIMIT,
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
+    _float_leaf,
+    _float_settle,
 )
 from strahler.observables import NonzeroOverZeroError, Observable, parse
 from strahler.verification import HORTON_FLOAT_GRID, MOMENT_RATIO_GRID
@@ -113,6 +117,68 @@ def test_answers_do_not_depend_on_query_order():
         return out
 
     assert answers(queries) == answers(queries[::-1])
+
+
+def test_float_answers_do_not_depend_on_query_order():
+    # Past one block of weight rows: tables grow across block boundaries.
+    queries = [(n, r, text) for text in ("S1", "S2/S1") for r in (1, 2, 3) for n in (100, 700, 1500)]
+
+    def answers(order):
+        engine = ExpectationEngine()
+        out = {}
+        for n, r, text in order:
+            out[n, r, text] = engine.expectation_float(n, r, parse(text))
+            out[n, r, "dist"] = engine.distribution(n, r, "float")
+        return out
+
+    assert answers(queries) == answers(queries[::-1])
+
+
+def _float_levels(f, levels, top):
+    """Float level tables 1..levels of a one-variable f over 0..top: f at
+    the window below magnitude 2 and at order 1, and one
+    ``float_weight_row(n) @ below`` per other entry."""
+    tables = []
+    for j in range(1, levels + 1):
+        entries = [_float_leaf(0)]
+        for n in range(1, top + 1):
+            if j == 1 or n < 2:
+                entries.append(_float_leaf(f.evaluate((n if j == 1 else 0,))))
+            else:
+                row = comb.float_weight_row(n)
+                entries.append(_float_settle(n, row @ tables[-1][: len(row)]))
+        tables.append(np.array(entries))
+    return tables
+
+
+def test_float_tables_and_laws_equal_a_row_by_row_loop():
+    reference = {f: _float_levels(f, 3, 500) for f in (S1, S1SQ)}
+    cold, extended = ExpectationEngine(), ExpectationEngine()
+    for f in (S1, S1SQ):
+        cold.expectation_float(1000, 4, f)
+        extended.expectation_float(300, 4, f)
+        extended.expectation_float(1000, 4, f)
+    for engine in (cold, extended):
+        tables = {key: table for key, table in engine._tables.items() if key[0] is _FLOAT}
+        assert {(f, j) for _, f, j in tables} == {(f, j) for f in (S1, S1SQ) for j in (1, 2, 3)}
+        for (_, f, j), table in tables.items():
+            assert len(table) == 1000 // 2 ** (4 - j) + 1
+            assert np.array_equal(table, reference[f][j - 1][: len(table)]), (f.text, j)
+
+    law = np.zeros(4001)
+    law[4000] = 1.0
+    for _ in range(2):
+        pushed = np.zeros((len(law) + 1) // 2)
+        for k, x in enumerate(law.tolist()):
+            if x:
+                row = comb.float_weight_row(k)
+                pushed[: len(row)] += x * row
+        law = pushed
+    expected = {s: x for s, x in enumerate(law.tolist()) if x}
+    assert ExpectationEngine().distribution(4000, 3, "float") == expected
+    warm = ExpectationEngine()
+    warm.distribution(4000, 2, "float")
+    assert warm.distribution(4000, 3, "float") == expected
 
 
 def test_bruteforce_examples(engine):
