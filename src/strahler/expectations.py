@@ -17,6 +17,17 @@ independent oracle:
 * ``expectation_exact`` and ``expectation_float`` apply the kernel backward:
   V_r(n) = K(n, .) . V_{r-1}; at r = 1 it is f(n) when f has one variable,
   and otherwise K(n, .) . V_1 of f with its first variable bound to n.
+* ``expectation_exact`` of a one-variable polynomial f (every divisor a
+  constant: ``S1^3``, ``S1-1``, ``2``, ``(S1-1)*S1/2``) at base order
+  r >= 2 reads the coefficient of z^n in its generating function instead,
+  where the operation counts of ``_series_pays`` say that is cheaper than
+  the kernel: never at r = 2, and from about n = 10 K 2^(r-1) for degree K
+  (n = 44 for ``S1`` at r = 3). A constant is its own expectation. The
+  series (``gf``) is exact and its first coefficients are the kernel's
+  own, so the answer is the same value, hence the same lowest-terms
+  Fraction, either way. Observables that divide by a variable (``S1/S1``,
+  ``1/S1``, ``S1^2/S1``), several variables, float mode and distributions
+  stay on the kernel.
 * ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
   pushed law is memoised per (mode, n, step), so a higher order of the same
   magnitude continues from the last law an earlier query left.
@@ -35,7 +46,8 @@ The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, possibly rebound, hashes
 and compares by its AST and is never printed. Results do not depend on
 call order. A fill assigns a longer table under
-its key and never mutates one; every entry is a pure function of the key
+its key and never mutates one, and so does a series store, keyed by
+(observable, order); every entry is a pure function of the key
 and its magnitude, which keeps concurrent use safe under the usual dict
 atomicity. Magnitudes below 2 are read off their window, (n, 0, ...) at
 order 1 and all zeros above; every other entry is one kernel step. No row of
@@ -80,6 +92,17 @@ class FloatEstimate(NamedTuple):
     rel_error_bound: float
 
 
+class _Series(NamedTuple):
+    """The stored series of a polynomial f at one base order: E_n[f] is
+    offset + coeffs[n] / (scale c_{n-1}), coeffs integer."""
+
+    offset: object  # f(0), an int or Fraction
+    scale: int
+    num: list
+    den: list
+    coeffs: list
+
+
 class _Arithmetic(NamedTuple):
     """What tells the modes apart; the recursion and the push are shared.
 
@@ -111,6 +134,7 @@ class ExpectationEngine:
         self._profiles: dict[int, Counter] = {}
         self._tables: dict = {}
         self._laws: dict = {}
+        self._series: dict = {}
 
     # -- the oracle, by root split --------------------------------------------
 
@@ -148,6 +172,12 @@ class ExpectationEngine:
 
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
         self._arithmetic(n, r, "exact")
+        if r > 1 and f.arity == 1:
+            degree = f.polynomial_degree()
+            if degree == 0:  # a constant
+                return Fraction(f.evaluate((0,)))
+            if degree is not None and _series_pays(n, r, degree):
+                return self._expect_series(n, r, f, degree)
         return Fraction(self._expect(_EXACT, n, r, f), comb.catalan(n - 1))
 
     def expectation_float(self, n: int, r: int, f: Observable) -> FloatEstimate:
@@ -199,6 +229,36 @@ class ExpectationEngine:
         if row is None:
             row = arith.row(n)
         return arith.settle(n, row @ below[: len(row)])
+
+    def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
+        """E_n[f at base r >= 2] for a polynomial f of the given degree >= 1,
+        read off the series of ``gf``. Its first d_r + 1 coefficients are
+        the kernel's at those small magnitudes, less f(0) c_{m-1}, scaled to
+        integers; the rest follow by the coefficient recurrence. A store
+        grows to at least 5/4 of its length and, like a level table, is
+        assigned longer and never mutated."""
+        from . import gf  # on first use, so that set-up does not load it
+
+        key = (f, r)
+        series = self._series.get(key)
+        if series is None:
+            offset = f.evaluate((0,))
+            top = gf.numerator_degree(degree, r)
+            below = self._level(_EXACT, f, r - 1, top // 2)
+            head = [0] + [
+                self._entry(_EXACT, f, r, m, below) - offset * comb.catalan(m - 1)
+                for m in range(1, top + 1)
+            ]
+            scale = math.lcm(*(Fraction(x).denominator for x in head))
+            head = [int(x * scale) for x in head]
+            den = gf.denominator(degree, r)
+            series = _Series(offset, scale, gf.numerator(head, den), den, head)
+        size = len(series.coeffs)
+        if size <= n:
+            coeffs = gf.extend(series.num, series.den, series.coeffs, max(n, size + size // 4))
+            series = series._replace(coeffs=coeffs)
+        self._series[key] = series
+        return Fraction(series.coeffs[n], series.scale * comb.catalan(n - 1)) + series.offset
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """Dispatch by mode; auto switches to float past the exact ceiling."""
@@ -292,6 +352,21 @@ def _validate_query(n: int, r: int):
         raise ValueError(f"magnitude must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"base order must be >= 1, got {r}")
+
+
+def _series_pays(n: int, r: int, degree: int) -> bool:
+    """Whether a cold query costs less by the series than by the kernel, by
+    operation counts. The series takes 2 d_r - K + 1 products per
+    coefficient (d_r = K 2^(r-1)), n coefficients in all. The kernel takes
+    n//2 steps at n and, for each level j = 2..r-1, floor(t^2/4) steps over
+    its table to t = n >> (r - j); a step (a row entry and a dot term, both
+    of magnitude-sized integers) costs about 2.5 series products, measured
+    at n = 100..1000, K = 1..3. Past order n.bit_length() + 1 every window
+    is all zeros, and the kernel is cheaper there."""
+    r = min(r, n.bit_length() + 1)
+    per_coefficient = 2 * (degree << (r - 1)) - degree + 1
+    kernel_steps = n // 2 + sum((n >> i) ** 2 // 4 for i in range(1, r - 1))
+    return 2 * n * per_coefficient <= 5 * kernel_steps
 
 
 def _integral(value):

@@ -195,6 +195,28 @@ def _eval(node: Node, values: Sequence[int]):
     return Fraction(a, b)
 
 
+def _degree(node: Node):
+    """An upper bound on the degree of node as a polynomial in its variables
+    (cancellation may lower the true degree), or None when a divisor holds a
+    variable. A divisor of degree 0 is a nonzero constant, the parse having
+    rejected the zero polynomial, so a node with a degree never divides by
+    zero and evaluates to its polynomial at every window."""
+    op = node[0]
+    if op == "var":
+        return 1
+    if op == "lit":
+        return 0
+    if op == "^":
+        base = _degree(node[1])
+        return None if base is None else base * node[2]
+    a, b = _degree(node[1]), _degree(node[2])
+    if a is None or b is None:
+        return None
+    if op == "/":
+        return a if b == 0 else None
+    return a + b if op == "*" else max(a, b)
+
+
 def _shift(node: Node, first_value: int) -> Node:
     """Substitute S1 := first_value and renumber S(j) -> S(j-1)."""
     op = node[0]
@@ -305,6 +327,11 @@ class Observable:
         if self.arity < 2:
             raise ValueError("bind_first requires arity >= 2")
         return Observable(_shift(self.ast, value), self.arity - 1)
+
+    def polynomial_degree(self):
+        """A bound on f's degree when f is a polynomial (every divisor a
+        constant), read off the expression without expanding it; else None."""
+        return _degree(self.ast)
 
     def rational_coeffs(self) -> Tuple[list, list]:
         """Integer numerator/denominator coefficient lists (ascending powers of S1).

@@ -370,11 +370,11 @@ def test_float_error_bound_holds_against_exact(engine):
 
 
 def test_float_error_bound_holds_on_the_float_grids():
-    # The horton grid at r <= 3 and the moment-ratio grid, as far as exact
-    # values are affordable: |float - exact| <= rel_error_bound * |exact|.
-    engine = ExpectationEngine(exact_limit=2512)
-    horton = [n for n in HORTON_FLOAT_GRID if n <= 2512]
-    cases = [(S1, r, n) for r in (1, 2, 3) for n in horton]
+    # The whole horton grid at r <= 3, to n = 10^4 (exact values at r = 3
+    # come from the series), and the moment-ratio grid:
+    # |float - exact| <= rel_error_bound * |exact|.
+    engine = ExpectationEngine(exact_limit=max(HORTON_FLOAT_GRID))
+    cases = [(S1, r, n) for r in (1, 2, 3) for n in HORTON_FLOAT_GRID]
     cases += [(parse(f"S1^{k}"), r, n) for k in (1, 2, 3) for r in (1, 2, 3)
               for n in MOMENT_RATIO_GRID]
     for f, r, n in cases:
@@ -382,6 +382,31 @@ def test_float_error_bound_holds_on_the_float_grids():
         est = engine.expectation_float(n, r, f)
         error = abs(Fraction(est.value) - exact)
         assert error <= Fraction(est.rel_error_bound) * abs(exact), (f.text, r, n)
+
+
+def test_kernel_only_observables_keep_the_kernel(engine):
+    # Observables that divide by a variable are not polynomials: they answer
+    # as the oracle does (0/0 = 0, and a raise where some tree divides a
+    # nonzero value by zero) and never build a series.
+    fresh = ExpectationEngine()
+    for text in ("S1/S1", "1/S1", "S1^2/S1", "1/(1/S1)"):
+        f = parse(text)
+        assert f.polynomial_degree() is None
+        for r in (2, 3, 4):
+            for n in range(1, ORACLE_LIMIT + 1):
+                try:
+                    expected = engine.expectation_bruteforce(n, r, f)
+                except NonzeroOverZeroError:
+                    with pytest.raises(NonzeroOverZeroError):
+                        fresh.expectation_exact(n, r, f)
+                    continue
+                assert fresh.expectation_exact(n, r, f) == expected, (text, r, n)
+    # Past the oracle, where the series pays for S1: S1^2/S1 is S1, and S1/S1
+    # the indicator of S_r >= 1.
+    mean = engine.expectation_exact(300, 3, S1)
+    assert fresh.expectation_exact(300, 3, parse("S1^2/S1")) == mean
+    assert fresh.expectation_exact(300, 3, parse("S1/S1")) == 1 - engine.distribution(300, 3)[0]
+    assert fresh._series == {}
 
 
 def test_float_distribution_lists_only_nonzero_probabilities(engine):

@@ -214,3 +214,11 @@ def test_fifty_deep_expressions_parse():
         mixed = f"({mixed}+1)*S1" if i % 2 else f"({mixed})^1"
     for f in (flat, obs.parse(mixed)):
         assert obs.parse(f.text) == f  # canonical text stays within the bound
+
+
+def test_polynomial_degree_is_read_without_expanding():
+    cases = {"S1^400000": 400000, "S1/3": 1, "2": 0, "(S1-1)*S1/2": 2,
+             "2*S1^2+S1/3-5": 2, "S1^0/(2-1)": 0, "S1*S2^3": 4,
+             "S1/(S1-S1+1)": None, "1/(1/S1)": None, "S1^2/S1": None}
+    for text, degree in cases.items():
+        assert obs.parse(text).polynomial_degree() == degree, text
