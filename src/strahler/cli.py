@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import errno
 import functools
 import io
@@ -86,12 +87,49 @@ def _decimal12(value) -> str:
 
 def _exact_text(value) -> str:
     """p/q rendering of an exact int or Fraction, as ``str`` gives it but at
-    any length: ``Decimal`` writes an int's digits without the interpreter's
-    limit on int-to-str conversion."""
-    text = str(Decimal(value.numerator))
+    any length."""
+    text = _int_text(value.numerator)
     if value.denominator != 1:
-        text += "/" + str(Decimal(value.denominator))
+        text += "/" + _int_text(value.denominator)
     return text
+
+
+# An int of at most this many bits has at most 617 digits, fewer than the
+# least limit on int-to-str conversion the interpreter accepts (640).
+_STR_BITS = 2048
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n in time below quadratic in their number.
+
+    Short ints go through ``str``. A longer one is cut at a bit boundary
+    into halves, lo + hi 2^w, recursively down to _STR_BITS bits; the pieces
+    become ``Decimal``s, which ignore the interpreter's conversion limit,
+    and are joined back by exact ``Decimal`` products with cached powers
+    of two, which are fast for long operands.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    powers: dict = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(1 << w) if w <= _STR_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def convert(m: int, w: int) -> Decimal:  # 0 <= m < 2^w
+        if w <= _STR_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def _emit(rows: list, args):

@@ -15,8 +15,14 @@ independent oracle:
   its profile from theirs (Flajolet, Raoult & Vuillemin, 1979). The tally
   shares nothing with the kernel, so it checks the kernel independently.
 * ``expectation_exact`` and ``expectation_float`` apply the kernel backward:
-  V_r(n) = K(n, .) . V_{r-1}; at r = 1 it is f(n) when f has one variable,
-  and otherwise K(n, .) . V_1 of f with its first variable bound to n.
+  V_r(n) = K(n, .) . V_{r-1}; at r = 1 it is f(n) when f has one variable.
+  An f of several variables whose divisors mention S1 alone splits as
+  sum_a S1^a c_a P_a(S2, ...) / Q(S1) (``strahler.split``), and
+  since the chain is Markov, E_n[f] = sum_a c_a n^a / Q(n) E_n[P_a at
+  base 2]: one kernel step over each part's level-1 table, which every n
+  shares. Where a divisor vanishes at S1 = n, and for an f that does not
+  split (``S1/S2``, ``1/S2``), it is K(n, .) . V_1 of f with its first
+  variable bound to n.
 * ``expectation_exact`` of a one-variable polynomial f (every divisor a
   constant: ``S1^3``, ``S1-1``, ``2``, ``(S1-1)*S1/2``) at base order
   r >= 2 reads the coefficient of z^n in its generating function instead,
@@ -43,14 +49,15 @@ Float mode uses the log-gamma rows w(n, m) and carries a first-order
 absolute error bound alongside every value.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
-key (mode, observable, level); the observable, possibly rebound, hashes
-and compares by its AST and is never printed. Results do not depend on
-call order. A fill assigns a longer table under
-its key and never mutates one, and so does a series store, keyed by
-(observable, order); every entry is a pure function of the key
-and its magnitude, which keeps concurrent use safe under the usual dict
-atomicity. Magnitudes below 2 are read off their window, (n, 0, ...) at
-order 1 and all zeros above; every other entry is one kernel step. No row of
+key (mode, observable, level); the observable, a part of one or one
+rebound, hashes and compares by its AST and is never printed. Results do
+not depend on call order. A fill assigns a longer table under its key and
+never mutates one, and so does a series store, keyed by (observable,
+order); every entry is a pure function of the key and its magnitude, which
+keeps concurrent use safe under the usual dict atomicity. Each
+observable's split is made once per engine and kept. Magnitudes below 2
+are read off their window, (n, 0, ...) at order 1 and all zeros above;
+every other entry is one kernel step. No row of
 magnitude >= 2 weights magnitude 0, so a table's magnitude-0 slot is a zero
 and f is evaluated only at windows some tree has, as the oracle evaluates
 it. Float results are deterministic from run to run.
@@ -118,6 +125,7 @@ class _Arithmetic(NamedTuple):
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
     leaf: Callable  # scaled observable value -> table entry
     settle: Callable  # (n, K(n, .) @ level below) -> table entry
+    combine: Callable  # (weights, scale, entries) -> sum of weights * entries / scale
     divide: Callable  # (count, normaliser) -> answer
 
 
@@ -135,6 +143,7 @@ class ExpectationEngine:
         self._tables: dict = {}
         self._laws: dict = {}
         self._series: dict = {}
+        self._splits: dict = {}
 
     # -- the oracle, by root split --------------------------------------------
 
@@ -191,8 +200,7 @@ class ExpectationEngine:
     def _expect(self, arith: _Arithmetic, n: int, r: int, f: Observable):
         """The entry V_r(n) of f; only the levels below r are stored."""
         r = min(r, n.bit_length() + 1)  # past this order every window is all zeros
-        below = self._level(arith, f, r - 1, n // 2) if r > 1 else None
-        return self._entry(arith, f, r, n, below)
+        return self._entry(arith, f, r, n, self._below(arith, f, r, n))
 
     def _level(self, arith: _Arithmetic, f: Observable, j: int, top: int):
         """The level-j table of f over magnitudes 0..top; its magnitude-0 slot
@@ -202,7 +210,7 @@ class ExpectationEngine:
         done = len(table)
         if done > top:
             return table
-        below = self._level(arith, f, j - 1, top // 2) if j > 1 else None
+        below = self._below(arith, f, j, top)
         fresh = [arith.leaf(0)] if done == 0 else []
         start = max(done, 1)
         if j == 1 and f.arity == 1:  # every entry is f at its window
@@ -215,19 +223,41 @@ class ExpectationEngine:
         self._tables[key] = table
         return table
 
+    def _below(self, arith: _Arithmetic, f: Observable, j: int, top: int):
+        """What the level-j entries of f to magnitude top step over: the level
+        j-1 table of f or, at level 1, the level-1 tables of f's parts when
+        f splits by powers of S1 (None when it does not)."""
+        if j > 1:
+            return self._level(arith, f, j - 1, top // 2)
+        if f.arity == 1:
+            return None
+        if f not in self._splits:
+            from .split import split_first  # on first use, so that set-up does not load it
+
+            self._splits[f] = split_first(f)
+        split = self._splits[f]
+        return split and [self._level(arith, part, 1, top // 2) for part in split.parts]
+
     def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below, row=None):
-        """The entry V_j(n) of f, given the level below when j > 1 and, if the
-        caller has it, the row K(n, .). A magnitude below 2, or order 1 of a
-        one-variable f, is f at its window; every other entry is one kernel
-        step K(n, .) . (level below), and at order 1 that is the step over f
+        """The entry V_j(n) of f, given ``_below`` and, if the caller has it,
+        the row K(n, .). A magnitude below 2, or order 1 of a one-variable f,
+        is f at its window; every other entry is one kernel step K(n, .) .
+        (level below). At order 1 of f = sum_a S1^a c_a P_a(S2, ...) / Q(S1)
+        that is sum_a c_a n^a / Q(n) times the step over each part's level 1,
+        the order-2 entry of P_a at n, when no divisor of f is zero at n;
+        otherwise, and for an f that does not split, it is the step over f
         with its first variable bound to n."""
         if n < 2 or (j == 1 and f.arity == 1):
             window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
             return arith.leaf(arith.scale(n) * f.evaluate(window))
-        if j == 1:
-            below = self._level(arith, f.bind_first(n), 1, n // 2)
         if row is None:
             row = arith.row(n)
+        if j == 1:
+            weights = below and self._splits[f].weights(n)
+            if weights:
+                parts = [arith.settle(n, row @ part[: len(row)]) for part in below]
+                return arith.combine(*weights, parts)
+            below = self._level(arith, f.bind_first(n), 1, n // 2)
         return arith.settle(n, row @ below[: len(row)])
 
     def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
@@ -375,6 +405,24 @@ def _integral(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_combine(weights: list, scale: int, entries: list):
+    return _integral(Fraction(sum(map(operator.mul, weights, entries)), scale))
+
+
+def _float_combine(weights: list, scale: int, entries: list) -> tuple:
+    """sum w e / scale over (value, |value|, error) entries: each factor
+    w / scale is rounded once, and its rounding, the product's and the
+    summation's add to the entries' errors in proportion to the mass."""
+    total = mass = error = 0.0
+    for w, (value, _mass, value_error) in zip(weights, entries):
+        factor = w / scale
+        term = factor * value
+        total += term
+        mass += abs(term)
+        error += abs(factor) * value_error
+    return total, abs(total), error + mass * (len(entries) + 2) * _EPS
+
+
 def _float_leaf(value) -> tuple:
     v = float(value)
     return v, abs(v), 2 * _EPS * abs(v)
@@ -397,14 +445,15 @@ def _exact_rows(lo: int, hi: int):
     return ((n, comb.multiplicity_row(n)) for n in range(lo, hi + 1))
 
 
-# (name, dtype, row, rows, scale, leaf, settle, divide) of each mode
+# (name, dtype, row, rows, scale, leaf, settle, combine, divide) of each mode
 _EXACT = _Arithmetic(
     "exact", object, comb.multiplicity_row, _exact_rows,
-    lambda m: comb.catalan(max(m - 1, 0)), _integral, lambda n, dot: dot, Fraction,
+    lambda m: comb.catalan(max(m - 1, 0)), _integral, lambda n, dot: dot,
+    _exact_combine, Fraction,
 )
 _FLOAT = _Arithmetic(
     "float", float, comb.float_weight_row, comb.float_weight_rows, lambda m: 1,
-    _float_leaf, _float_settle, operator.truediv,
+    _float_leaf, _float_settle, _float_combine, operator.truediv,
 )
 
 _LINEAR = _parse("S1")

@@ -23,6 +23,7 @@ largest variable index.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -233,7 +234,13 @@ def _shift(node: Node, first_value: int) -> Node:
 #
 # A multivariate polynomial is a dict {exponent tuple: int}; a rational
 # form is a (num, den) pair of those. Used to reject zero divisors at parse
-# time and to feed the asymptotic pipeline for single-variable observables.
+# time, to split observables of several variables by powers of S1
+# (``strahler.split``), and to feed the asymptotic pipeline for
+# single-variable observables.
+
+
+class _Sprawl(Exception):
+    """A rational form outgrew the term limit its caller set."""
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -260,7 +267,24 @@ def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
     return out
 
 
-def _rational(node: Node, arity: int) -> Tuple[dict, dict]:
+def _poly_pow(p: dict, k: int, one: dict, limit) -> dict:
+    """p^k, raising _Sprawl past ``limit`` terms. A single term is raised
+    at once; otherwise p multiplies in one factor at a time, which for a
+    sparse base of several variables costs less than squaring."""
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(x * k for x in e): c**k}
+    out = one
+    for _ in range(k):
+        out = _poly_mul(out, p)
+        if len(out) > limit:
+            raise _Sprawl
+    return out
+
+
+def _rational(node: Node, arity: int, limit=math.inf) -> Tuple[dict, dict]:
+    """(num, den) of node, unreduced; raises _Sprawl when the form of node
+    or of any node below it has more than ``limit`` terms."""
     zero_exp = (0,) * arity
     one = {zero_exp: 1}
     op = node[0]
@@ -270,21 +294,29 @@ def _rational(node: Node, arity: int) -> Tuple[dict, dict]:
     if op == "lit":
         return ({zero_exp: node[1]} if node[1] else {}), one
     if op == "^":
-        bn, bd = _rational(node[1], arity)
-        rn, rd = one, one
-        for _ in range(node[2]):
-            rn = _poly_mul(rn, bn)
-            rd = _poly_mul(rd, bd)
-        return rn, rd
-    an, ad = _rational(node[1], arity)
-    bn, bd = _rational(node[2], arity)
-    if op == "+":
-        return _poly_add(_poly_mul(an, bd), _poly_mul(bn, ad)), _poly_mul(ad, bd)
-    if op == "-":
-        return _poly_add(_poly_mul(an, bd), _poly_mul(bn, ad), -1), _poly_mul(ad, bd)
-    if op == "*":
-        return _poly_mul(an, bn), _poly_mul(ad, bd)
-    return _poly_mul(an, bd), _poly_mul(ad, bn)
+        bn, bd = _rational(node[1], arity, limit)
+        return _poly_pow(bn, node[2], one, limit), _poly_pow(bd, node[2], one, limit)
+    an, ad = _rational(node[1], arity, limit)
+    bn, bd = _rational(node[2], arity, limit)
+    if op == "/":
+        num, den = _poly_mul(an, bd), _poly_mul(ad, bn)
+    else:
+        den = _poly_mul(ad, bd)
+        if op == "*":
+            num = _poly_mul(an, bn)
+        else:
+            num = _poly_add(_poly_mul(an, bd), _poly_mul(bn, ad), 1 if op == "+" else -1)
+    if len(num) > limit or len(den) > limit:
+        raise _Sprawl
+    return num, den
+
+
+def _ascending(p: dict) -> list:
+    """The coefficients of a polynomial in S1 alone, ascending powers."""
+    out = [0] * (max((e[0] for e in p), default=0) + 1)
+    for e, c in p.items():
+        out[e[0]] = c
+    return out
 
 
 class Observable:
@@ -342,14 +374,7 @@ class Observable:
         if self.arity != 1:
             raise ValueError("rational form requires a single-variable observable")
         num, den = _rational(self.ast, 1)
-
-        def as_list(p: dict) -> list:
-            if not p:
-                return [0]
-            deg = max(e[0] for e in p)
-            return [p.get((i,), 0) for i in range(deg + 1)]
-
-        return as_list(num), as_list(den)
+        return _ascending(num), _ascending(den)
 
 
 def parse(text: str) -> Observable:

@@ -264,6 +264,46 @@ def test_exact_values_past_the_int_str_limit_print_whole(capsys):
     assert Decimal(row["asymptotic"]) == Decimal(row["exact"]) == 5**10000
 
 
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _ints_of_bits(bits):
+    return st.integers(-(2**bits) + 1, 2**bits - 1)
+
+
+# Sizes either side of the cut to ``str`` and of the halving steps above it.
+_long_ints = st.one_of(
+    st.integers(cli._STR_BITS - 70, cli._STR_BITS + 70).flatmap(_ints_of_bits),
+    st.integers(2 * cli._STR_BITS - 3, 2 * cli._STR_BITS + 3).flatmap(_ints_of_bits),
+    st.integers(1, 40_000).flatmap(_ints_of_bits),
+    st.builds(lambda k, t: 10**k + t, st.integers(600, 5000), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_long_ints, st.one_of(st.just(1), _long_ints.map(lambda d: abs(d) + 1)))
+def test_exact_text_equals_str_without_the_digit_limit(top, bottom):
+    value = Fraction(top, bottom)
+    with _int_str_digits(0):
+        expected = str(top), str(value)
+    assert (cli._exact_text(top), cli._exact_text(value)) == expected
+
+
+def test_exact_text_does_not_depend_on_the_digit_limit():
+    values = (-(7**60_000) + 3, Fraction(1, 3**1500), Fraction(2**7000 + 1, 2**7000 - 1))
+    with _int_str_digits(0):
+        expected = [str(v) for v in values]
+    with _int_str_digits(640):  # the least limit the interpreter accepts
+        assert [cli._exact_text(v) for v in values] == expected
+
+
 def test_enumerate_takes_only_the_flags_it_reads(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--max-n", "3")
     assert code == 0

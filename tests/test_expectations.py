@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from strahler import combinatorics as comb
-from strahler import observables
+from strahler import observables, split
 from strahler import trees
 from strahler.expectations import (
+    _EXACT,
     _FLOAT,
     ORACLE_LIMIT,
     DegenerateRatioError,
@@ -371,11 +372,13 @@ def test_float_error_bound_holds_against_exact(engine):
 
 def test_float_error_bound_holds_on_the_float_grids():
     # The whole horton grid at r <= 3, to n = 10^4 (exact values at r = 3
-    # come from the series), and the moment-ratio grid:
-    # |float - exact| <= rel_error_bound * |exact|.
+    # come from the series), and the moment-ratio grid, also for two
+    # observables of several variables: |float - exact| <= rel_error_bound * |exact|.
     engine = ExpectationEngine(exact_limit=max(HORTON_FLOAT_GRID))
     cases = [(S1, r, n) for r in (1, 2, 3) for n in HORTON_FLOAT_GRID]
     cases += [(parse(f"S1^{k}"), r, n) for k in (1, 2, 3) for r in (1, 2, 3)
+              for n in MOMENT_RATIO_GRID]
+    cases += [(parse(text), r, n) for text in ("S2/S1", "S1*S2-S3") for r in (1, 2, 3)
               for n in MOMENT_RATIO_GRID]
     for f, r, n in cases:
         exact = engine.expectation_exact(n, r, f)
@@ -407,6 +410,88 @@ def test_kernel_only_observables_keep_the_kernel(engine):
     assert fresh.expectation_exact(300, 3, parse("S1^2/S1")) == mean
     assert fresh.expectation_exact(300, 3, parse("S1/S1")) == 1 - engine.distribution(300, 3)[0]
     assert fresh._series == {}
+
+
+SPLIT = ("S2/S1", "S1*S2-S3", "S1+2*S2", "(S1-1)*S2^2/(2*S1)", "S1*S2*S3",
+         "S3/S1^2+S2", "S2*(S1-2)/(S1-2)")
+
+
+def _bound_answers(monkeypatch, f, queries):
+    """Exact answers with every observable's first variable bound at order
+    1, the route of observables that do not split."""
+    engine = ExpectationEngine()
+    with monkeypatch.context() as patch:
+        patch.setattr(split, "split_first", lambda f: None)
+        return [engine.expectation_exact(n, r, f) for n, r in queries]
+
+
+def test_split_route_equals_the_bound_route(monkeypatch):
+    for text in SPLIT:
+        f = parse(text)
+        # Bound at order 1, three variables take O(n^2) table entries per
+        # magnitude; past 100 they are sampled.
+        thin = [*range(1, 101), 150, 200, 257, 299, 300]
+        queries = [(n, r) for r in (1, 2, 3, 4)
+                   for n in (thin if r == 1 and f.arity > 2 else range(1, 301))]
+        assert split.split_first(f) is not None
+        engine = ExpectationEngine()
+        answers = [engine.expectation_exact(n, r, f) for n, r in queries]
+        assert answers == _bound_answers(monkeypatch, f, queries), text
+
+
+def test_split_route_equals_the_oracle(engine):
+    fresh = ExpectationEngine()
+    for text in SPLIT + ("S2/(S1-3)",):
+        f = parse(text)
+        for r in (1, 2, 3, 4):
+            for n in range(1, ORACLE_LIMIT + 1):
+                try:
+                    expected = engine.expectation_bruteforce(n, r, f)
+                except NonzeroOverZeroError:
+                    for query in (fresh.expectation_exact, fresh.expectation_float):
+                        with pytest.raises(NonzeroOverZeroError):
+                            query(n, r, f)
+                    continue
+                assert fresh.expectation_exact(n, r, f) == expected, (text, r, n)
+                est = fresh.expectation_float(n, r, f)
+                assert abs(Fraction(est.value) - expected) <= (
+                    Fraction(est.rel_error_bound) * abs(expected)), (text, r, n)
+    # S2/(S1-3) splits but binds S1 := 3 where its divisor vanishes, and
+    # raises there as the oracle does: a magnitude-3 tree has S2 = 1.
+    f = parse("S2/(S1-3)")
+    assert split.split_first(f).weights(3) is None
+    with pytest.raises(NonzeroOverZeroError):
+        engine.expectation_bruteforce(3, 1, f)
+
+
+def test_observables_dividing_by_s2_keep_the_bound_route(monkeypatch):
+    binds = []
+    bind_first = Observable.bind_first
+    monkeypatch.setattr(Observable, "bind_first",
+                        lambda self, value: binds.append(value) or bind_first(self, value))
+    for text in ("S1/S2", "1/S2", "S2/(S1+S2)"):
+        f = parse(text)
+        assert split.split_first(f) is None
+        engine = ExpectationEngine()
+        binds.clear()
+        engine.expectation_exact(20, 1, f)
+        assert binds == [20] and engine._splits == {f: None}, text
+
+
+def test_order_one_reads_shared_part_tables():
+    # E_n[S2/S1] at order 1 is E_n[S2] / n: one level-1 table of S1 serves
+    # every magnitude, and no observable with S1 bound to a number is kept.
+    f, part = RATIO, S1
+    engine = ExpectationEngine(exact_limit=1000)
+    for n in (1000, 10, 999):
+        engine.expectation_exact(n, 1, f)
+        assert list(engine._tables) == [(_EXACT, part, 1)]
+    assert engine._splits[f].parts == (part,)
+    engine.expectation_exact(500, 2, f)
+    engine.expectation_exact(30, 2, f)
+    assert set(engine._tables) == {(_EXACT, part, 1), (_EXACT, f, 1)}
+    assert engine.expectation_exact(1000, 1, f) == (
+        engine.expectation_exact(1000, 2, S1) / 1000)
 
 
 def test_float_distribution_lists_only_nonzero_probabilities(engine):

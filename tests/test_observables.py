@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from strahler import observables as obs
+from strahler.split import SPLIT_TERMS, _nodes, split_first
 
 
 def test_parse_examples():
@@ -222,3 +224,79 @@ def test_polynomial_degree_is_read_without_expanding():
              "S1/(S1-S1+1)": None, "1/(1/S1)": None, "S1^2/S1": None}
     for text, degree in cases.items():
         assert obs.parse(text).polynomial_degree() == degree, text
+
+
+def _exprs(leaves, divisors):
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map("({0[0]}{0[1]}{0[2]})".format),
+            st.tuples(children, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+            st.tuples(children, children if divisors is None else divisors).map("({0[0]})/({0[1]})".format),
+        )
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+_numbers = st.integers(0, 4).map(str)
+_of_s1 = _exprs(st.one_of(st.just("S1"), _numbers), None)
+_of_many = _exprs(st.sampled_from(["S1", "S2", "S3", "S2", "S3", "0", "1", "2", "3"]), _of_s1)
+
+
+def _parsed(text):
+    try:
+        return obs.parse(text)
+    except obs.ObservableSyntaxError:  # a divisor that is the zero polynomial
+        assume(False)
+
+
+def _sprawls(f):
+    try:
+        obs._rational(f.ast, f.arity, SPLIT_TERMS)
+    except obs._Sprawl:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_of_many)
+def test_split_by_powers_of_s1_equals_evaluate(text):
+    f = _parsed(text)
+    split = split_first(f)
+    if f.arity < 2 or _sprawls(f):
+        assert split is None
+        return
+    divisors = [node[2] for node in _nodes(f.ast) if node[0] == "/"]
+    for parts in split.parts:
+        assert obs.parse(parts.text) == parts  # an ordinary, canonical observable
+    for n in range(7):
+        try:
+            vanishes = any(obs.Observable(d, 1).evaluate((n,)) == 0 for d in divisors)
+        except obs.NonzeroOverZeroError:
+            vanishes = True
+        if vanishes:
+            assert split.weights(n) is None, n
+            continue
+        weights, scale = split.weights(n)
+        for rest in product(range(4), repeat=f.arity - 1):
+            expected = f.evaluate((n, *rest))
+            value = sum(w * p.evaluate(rest) for w, p in zip(weights, split.parts))
+            assert Fraction(value, scale) == expected, (n, rest)
+
+
+_of_s2 = st.one_of(st.sampled_from(["S2", "S3", "S1+S2", "S2-S2+1", "S3^0"]),
+                   st.tuples(_of_s1, st.sampled_from(["S2", "S3"])).map("{0[0]}*{0[1]}".format))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_of_many, _of_s2, st.sampled_from(["({0})/({1})", "S1*(1+({0})/({1}))",
+                                          "({0})/(S1+1/({1}))"]))
+def test_a_divisor_that_mentions_s2_leaves_no_split(text, divisor, shape):
+    f = _parsed(shape.format(text, divisor))
+    assert split_first(f) is None
+
+
+def test_an_observable_that_expands_past_the_term_limit_does_not_split():
+    # Every term of the expansion would be a part with tables of its own,
+    # where binding S1 := n evaluates the expression once per window.
+    assert len(split_first(obs.parse("(S1+S2)^63")).parts) == 64 == SPLIT_TERMS
+    for text in ("(S1+S2)^64", "(S1+S2)^1500", "S2/(S1+1)^64"):
+        assert split_first(obs.parse(text)) is None, text
