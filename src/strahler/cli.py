@@ -63,15 +63,15 @@ def _decimal12(value) -> str:
         return "0"
     size, den = abs(value.numerator), value.denominator
     # exp is the exponent of the 12th significant digit: start from the bit
-    # lengths, then step until size/den scaled by 10^-exp has 12 integer digits.
+    # lengths, then step by ten until top/bottom = size/den 10^-exp has 12 digits.
     exp = math.floor((size.bit_length() - den.bit_length()) * _LOG10_2) - 11
+    top, bottom = (size, den * 10**exp) if exp >= 0 else (size * 10**-exp, den)
     while True:
-        top, bottom = (size, den * 10**exp) if exp >= 0 else (size * 10**-exp, den)
         digits, rest = divmod(top, bottom)
         if digits < 10**11:
-            exp -= 1
+            exp, top = exp - 1, top * 10
         elif digits >= 10**12:
-            exp += 1
+            exp, bottom = exp + 1, bottom * 10
         else:
             break
     if 2 * rest > bottom or (2 * rest == bottom and digits % 2):

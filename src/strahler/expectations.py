@@ -23,17 +23,17 @@ independent oracle:
   shares. Where a divisor vanishes at S1 = n, and for an f that does not
   split (``S1/S2``, ``1/S2``), it is K(n, .) . V_1 of f with its first
   variable bound to n.
-* ``expectation_exact`` of a one-variable polynomial f (every divisor a
-  constant: ``S1^3``, ``S1-1``, ``2``, ``(S1-1)*S1/2``) at base order
-  r >= 2 reads the coefficient of z^n in its generating function instead,
-  where the operation counts of ``_series_pays`` say that is cheaper than
-  the kernel: never at r = 2, and from about n = 10 K 2^(r-1) for degree K
-  (n = 44 for ``S1`` at r = 3). A constant is its own expectation. The
-  series (``gf``) is exact and its first coefficients are the kernel's
-  own, so the answer is the same value, hence the same lowest-terms
-  Fraction, either way. Observables that divide by a variable (``S1/S1``,
-  ``1/S1``, ``S1^2/S1``), several variables, float mode and distributions
-  stay on the kernel.
+* ``expectation_exact`` of a one-variable polynomial f of degree K (read
+  off f's split, exact after cancellation: ``S1^3``, ``(S1-1)*S1/2``,
+  ``S1/(S1-S1+1)``) at base order r >= 2 reads the coefficient of z^n in
+  its generating function instead, where the operation counts of
+  ``_series_pays`` say that is cheaper than the kernel: never at r = 2, and
+  from about n = 10 K 2^(r-1) (n = 44 for ``S1`` at r = 3). A constant,
+  ``0*S1`` included, is its own expectation. The series (``gf``) follows
+  from f's values alone and is exact, so the answer is the same value
+  either way. Observables that divide by a variable (``S1/S1``, ``1/S1``)
+  or do not split, several variables, float mode and distributions stay
+  on the kernel.
 * ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
   pushed law is memoised per (mode, n, step), so a higher order of the same
   magnitude continues from the last law an earlier query left.
@@ -182,10 +182,11 @@ class ExpectationEngine:
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
         self._arithmetic(n, r, "exact")
         if r > 1 and f.arity == 1:
-            degree = f.polynomial_degree()
+            split = self._split(f)
+            degree = split and split.degree()
             if degree == 0:  # a constant
                 return Fraction(f.evaluate((0,)))
-            if degree is not None and _series_pays(n, r, degree):
+            if degree and _series_pays(n, r, degree):
                 return self._expect_series(n, r, f, degree)
         return Fraction(self._expect(_EXACT, n, r, f), comb.catalan(n - 1))
 
@@ -231,12 +232,16 @@ class ExpectationEngine:
             return self._level(arith, f, j - 1, top // 2)
         if f.arity == 1:
             return None
+        split = self._split(f)
+        return split and [self._level(arith, part, 1, top // 2) for part in split.parts]
+
+    def _split(self, f: Observable):
+        """f split by powers of S1 (``split.split_first``), made once."""
         if f not in self._splits:
             from .split import split_first  # on first use, so that set-up does not load it
 
             self._splits[f] = split_first(f)
-        split = self._splits[f]
-        return split and [self._level(arith, part, 1, top // 2) for part in split.parts]
+        return self._splits[f]
 
     def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below, row=None):
         """The entry V_j(n) of f, given ``_below`` and, if the caller has it,
@@ -253,7 +258,7 @@ class ExpectationEngine:
         if row is None:
             row = arith.row(n)
         if j == 1:
-            weights = below and self._splits[f].weights(n)
+            weights = below and self._split(f).weights(n)
             if weights:
                 parts = [arith.settle(n, row @ part[: len(row)]) for part in below]
                 return arith.combine(*weights, parts)
@@ -262,27 +267,24 @@ class ExpectationEngine:
 
     def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
         """E_n[f at base r >= 2] for a polynomial f of the given degree >= 1,
-        read off the series of ``gf``. Its first d_r + 1 coefficients are
-        the kernel's at those small magnitudes, less f(0) c_{m-1}, scaled to
-        integers; the rest follow by the coefficient recurrence. A store
-        grows to at least 5/4 of its length and, like a level table, is
-        assigned longer and never mutated."""
+        read off the series of ``gf``: c_{m-1} (f(m) - f(0)), m = 0..degree,
+        scaled to integers, give N_1, lifted to N_r. A store grows to at
+        least 5/4 of its length and, like a level table, is assigned longer
+        and never mutated."""
         from . import gf  # on first use, so that set-up does not load it
 
         key = (f, r)
         series = self._series.get(key)
         if series is None:
             offset = f.evaluate((0,))
-            top = gf.numerator_degree(degree, r)
-            below = self._level(_EXACT, f, r - 1, top // 2)
             head = [0] + [
-                self._entry(_EXACT, f, r, m, below) - offset * comb.catalan(m - 1)
-                for m in range(1, top + 1)
+                (f.evaluate((m,)) - offset) * comb.catalan(m - 1)
+                for m in range(1, degree + 1)
             ]
             scale = math.lcm(*(Fraction(x).denominator for x in head))
             head = [int(x * scale) for x in head]
-            den = gf.denominator(degree, r)
-            series = _Series(offset, scale, gf.numerator(head, den), den, head)
+            num = gf.lift(gf.numerator(head, gf.denominator(degree, 1)), degree, r)
+            series = _Series(offset, scale, num, gf.denominator(degree, r), [])
         size = len(series.coeffs)
         if size <= n:
             coeffs = gf.extend(series.num, series.den, series.coeffs, max(n, size + size // 4))

@@ -36,15 +36,16 @@ and the count is 2 + 2K - 2 - 2K = 0, which is D_2 = (1-4z)^(K-1).
 
 Coefficients. D_r has constant term 1, so with E = (1-4z) D_r and
 sqrt(1-4z) = 1 - 2 sum_{m >= 1} c_{m-1} z^m, the identity
-E F_r = N_r sqrt(1-4z) gives, for n > d_r,
+E F_r = N_r sqrt(1-4z) gives, for every n >= 0,
 
-    [z^n] F_r = -2 sum_i [z^i]N_r c_{n-1-i} - sum_{i >= 1} [z^i]E [z^(n-i)]F_r,
+    [z^n] F_r = [z^n]N_r - 2 sum_i [z^i]N_r c_{n-1-i} - sum_{i >= 1} [z^i]E [z^(n-i)]F_r,
 
 an integer recurrence of 2 deg D_r + K + 3 products per coefficient
-(Flajolet & Sedgewick, Analytic Combinatorics, ch. VI). N_r is the first
-d_r + 1 coefficients of D_r sqrt(1-4z) F_r, which follow from the first
-d_r + 1 coefficients of F_r. D_r need not be in lowest terms (it is not
-when K over-estimates the degree of g): the recurrence needs only that
+(Flajolet & Sedgewick, Analytic Combinatorics, ch. VI), terms of negative
+index being zero. N_1, the first K + 1 coefficients of D_1 sqrt(1-4z) F_1,
+follows from g's values at 1..K, and N_r from N_1 by the step N_j = M of
+the proof. D_r need not be in lowest terms (it is not when K
+over-estimates the degree of g): the recurrence needs only that
 D_r sqrt(1-4z) F_r is a polynomial of degree <= d_r.
 
 q_j(1/4) = 2^(1 - 2^j), since u(1/4) = 1/4: the roots of the q_j lie off
@@ -60,11 +61,14 @@ from . import combinatorics as comb
 
 def _mul(a: list, b: list, size: int | None = None) -> list:
     """The first ``size`` coefficients (by default all) of the product of two
-    integer coefficient lists (ascending powers)."""
+    integer coefficient lists (ascending powers), in time size * min(len)."""
+    if len(a) < len(b):
+        a, b = b, a
     full = len(a) + len(b) - 1
     size = full if size is None else min(size, full)
-    b = b + [0] * (size - len(b))  # so that b[i::-1] starts at b_i
-    return [sum(map(mul, a[: i + 1], b[i::-1])) for i in range(size)]
+    last, rb = len(b) - 1, b[::-1]
+    return [sum(map(mul, a[max(i - last, 0) : i + 1], rb[max(last - i, 0) :]))
+            for i in range(size)]
 
 
 def _power(p: list, e: int) -> list:
@@ -91,24 +95,16 @@ def _substitute(p: list, d: int) -> list:
 
 def q(j: int) -> list:
     """q_j: q_1 = 1 - 2z and q_{j+1}(z) = (1-2z)^(2^j) q_j(z^2/(1-2z)^2)."""
-    poly = [1, -2]
-    for i in range(1, j):
-        poly = _substitute(poly, 2 ** (i - 1))
-    return poly
+    return lift([1, -2], 1, j)
 
 
 def denominator(degree: int, r: int) -> list:
     """D_r = (1-4z)^(K-1) q_1^(2K) ... q_{r-2}^(2K) for an observable of
-    degree K >= 1 at base order r >= 2."""
+    degree K >= 1 at base order r >= 1; D_1 = (1-4z)^(K-1)."""
     chain = [1]
     for j in range(1, r - 1):
         chain = _mul(chain, q(j))
     return _mul(_power([1, -4], degree - 1), _power(chain, 2 * degree))
-
-
-def numerator_degree(degree: int, r: int) -> int:
-    """d_r = K 2^(r-1), the bound on deg N_r; deg D_r is d_r - K - 1."""
-    return degree << (r - 1)
 
 
 def numerator(head: list, den: list) -> list:
@@ -120,19 +116,28 @@ def numerator(head: list, den: list) -> list:
     return _mul(_mul(den, head, size), root, size)
 
 
+def lift(num: list, degree: int, r: int) -> list:
+    """N_r from N_1 for an observable of degree K >= 1: the substitution
+    step N_{j+1} = (1-2z)^(2 d_j) N_j(z^2/(1-2z)^2), d_j = K 2^(j-1)."""
+    for j in range(1, r):
+        num = _substitute(num, degree << (j - 1))
+    return num
+
+
 def extend(num: list, den: list, coeffs: list, top: int) -> list:
-    """F's coefficients 0..top, continued from ``coeffs`` (0..len - 1, where
-    len(coeffs) > deg num) by the recurrence of E F = num sqrt(1-4z),
+    """F's coefficients 0..top, continued from ``coeffs`` (0..len - 1, none
+    at all to start from 0) by the recurrence of E F = num sqrt(1-4z),
     E = (1-4z) den. Returns a new list."""
     e = _mul(den, [1, -4])
-    cats = comb.catalans(top)
     num_desc = num[::-1]
     e_desc = [-x for x in e[:0:-1]]  # -E_{deg E}, ..., -E_1
     a, b = len(num_desc), len(e_desc)
-    out = list(coeffs)
+    cats = (0,) * a + comb.catalans(top)  # zeros for the negative indices
+    out = [0] * b + coeffs
     for n in range(len(coeffs), top + 1):
         out.append(
-            sum(map(mul, e_desc, out[n - b : n]))
-            - 2 * sum(map(mul, num_desc, cats[n - a : n]))
+            (num[n] if n < a else 0)
+            + sum(map(mul, e_desc, out[n : n + b]))
+            - 2 * sum(map(mul, num_desc, cats[n : n + a]))
         )
-    return out
+    return out[b:]

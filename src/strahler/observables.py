@@ -196,28 +196,6 @@ def _eval(node: Node, values: Sequence[int]):
     return Fraction(a, b)
 
 
-def _degree(node: Node):
-    """An upper bound on the degree of node as a polynomial in its variables
-    (cancellation may lower the true degree), or None when a divisor holds a
-    variable. A divisor of degree 0 is a nonzero constant, the parse having
-    rejected the zero polynomial, so a node with a degree never divides by
-    zero and evaluates to its polynomial at every window."""
-    op = node[0]
-    if op == "var":
-        return 1
-    if op == "lit":
-        return 0
-    if op == "^":
-        base = _degree(node[1])
-        return None if base is None else base * node[2]
-    a, b = _degree(node[1]), _degree(node[2])
-    if a is None or b is None:
-        return None
-    if op == "/":
-        return a if b == 0 else None
-    return a + b if op == "*" else max(a, b)
-
-
 def _shift(node: Node, first_value: int) -> Node:
     """Substitute S1 := first_value and renumber S(j) -> S(j-1)."""
     op = node[0]
@@ -234,9 +212,8 @@ def _shift(node: Node, first_value: int) -> Node:
 #
 # A multivariate polynomial is a dict {exponent tuple: int}; a rational
 # form is a (num, den) pair of those. Used to reject zero divisors at parse
-# time, to split observables of several variables by powers of S1
-# (``strahler.split``), and to feed the asymptotic pipeline for
-# single-variable observables.
+# time, to split observables by powers of S1 (``strahler.split``), and to
+# feed the asymptotic pipeline for single-variable observables.
 
 
 class _Sprawl(Exception):
@@ -311,6 +288,18 @@ def _rational(node: Node, arity: int, limit=math.inf) -> Tuple[dict, dict]:
     return num, den
 
 
+def _is_zero(node: Node, arity: int) -> bool:
+    """Whether node's rational form has numerator zero. A power (exponent
+    >= 1) is zero exactly when its base is, a product when a factor is, so
+    neither is expanded."""
+    op = node[0]
+    if op == "^":
+        return node[2] >= 1 and _is_zero(node[1], arity)
+    if op == "*":
+        return _is_zero(node[1], arity) or _is_zero(node[2], arity)
+    return not _rational(node, arity)[0]
+
+
 def _ascending(p: dict) -> list:
     """The coefficients of a polynomial in S1 alone, ascending powers."""
     out = [0] * (max((e[0] for e in p), default=0) + 1)
@@ -360,11 +349,6 @@ class Observable:
             raise ValueError("bind_first requires arity >= 2")
         return Observable(_shift(self.ast, value), self.arity - 1)
 
-    def polynomial_degree(self):
-        """A bound on f's degree when f is a polynomial (every divisor a
-        constant), read off the expression without expanding it; else None."""
-        return _degree(self.ast)
-
     def rational_coeffs(self) -> Tuple[list, list]:
         """Integer numerator/denominator coefficient lists (ascending powers of S1).
 
@@ -390,7 +374,6 @@ def parse(text: str) -> Observable:
     # A divisor is recorded once read, after any divisor inside it; the
     # first zero one in the text is reported.
     for position, divisor in sorted(s.divisors):
-        num, _den = _rational(divisor, s.arity)
-        if not num:
+        if _is_zero(divisor, s.arity):
             raise ObservableSyntaxError("division by the zero polynomial", position)
     return Observable(ast, s.arity)

@@ -1,4 +1,4 @@
-"""Observables of several variables split by powers of their first variable.
+"""Observables split by powers of their first variable.
 
 When every divisor of f mentions S1 alone, its rational form is
 
@@ -10,7 +10,8 @@ polynomial in S1 alone. At every n where no divisor of f is zero, f(n, w)
 is that form's value at every window w, so f can be read off its parts;
 the expectation engine takes E_n[f] at order 1 as sum_a c_a n^a / Q(n)
 E_n[P_a at base 2]. Equal parts of different observables are equal
-observables, hashed by their AST like any other.
+observables, hashed by their AST like any other. An f of one variable
+splits into constant parts, and its powers give its degree.
 
 The engine loads this module on first use, so that set-up does not.
 """
@@ -47,13 +48,18 @@ class FirstSplit(NamedTuple):
             return None
         return [c * n**a for a, c in zip(self.powers, self.coeffs)], _at(self.den, n)
 
+    def degree(self):
+        """A one-variable f's degree (0 for the zero polynomial) when every
+        divisor of f is a nonzero constant; otherwise None."""
+        if all(len(d) == 1 for d in self.divisors):
+            return max(self.powers, default=0)
+        return None
+
 
 def split_first(f: Observable):
-    """f split by powers of its first variable, or None when f has one
-    variable, a divisor mentions S2 or a higher one, or a form of f
-    outgrows ``SPLIT_TERMS`` terms."""
-    if f.arity < 2:
-        return None
+    """f split by powers of its first variable, or None when a divisor
+    mentions S2 or a higher variable, or a form of f outgrows
+    ``SPLIT_TERMS`` terms."""
     divisors = [node[2] for node in _nodes(f.ast) if node[0] == "/"]
     if any(v[0] == "var" and v[1] > 1 for d in divisors for v in _nodes(d)):
         return None

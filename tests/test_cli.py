@@ -563,6 +563,23 @@ def test_cli_imports_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_split_nor_gf():
+    # Both load on an engine's first use; importing the CLI compiles
+    # neither, which keeps start-up flat where no bytecode is written.
+    script = (
+        "import sys\n"
+        "import strahler.cli\n"
+        "print(sorted(m for m in ('strahler.split', 'strahler.gf') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_exit_code_resource_limit(capsys):
     code, _, err = run_cli(capsys, "expect", "--n", "400", "--mode", "exact")
     assert code == 3

@@ -394,7 +394,7 @@ def test_kernel_only_observables_keep_the_kernel(engine):
     fresh = ExpectationEngine()
     for text in ("S1/S1", "1/S1", "S1^2/S1", "1/(1/S1)"):
         f = parse(text)
-        assert f.polynomial_degree() is None
+        assert split.split_first(f).degree() is None
         for r in (2, 3, 4):
             for n in range(1, ORACLE_LIMIT + 1):
                 try:
@@ -410,6 +410,26 @@ def test_kernel_only_observables_keep_the_kernel(engine):
     assert fresh.expectation_exact(300, 3, parse("S1^2/S1")) == mean
     assert fresh.expectation_exact(300, 3, parse("S1/S1")) == 1 - engine.distribution(300, 3)[0]
     assert fresh._series == {}
+
+
+def test_the_series_reads_no_kernel_table():
+    # The series of a polynomial follows from its values at order 1.
+    engine = ExpectationEngine()
+    kernel = ExpectationEngine()._expect(_EXACT, 300, 4, S1)
+    assert engine.expectation_exact(300, 4, S1) == Fraction(kernel, comb.catalan(299))
+    assert list(engine._series) == [(S1, 4)] and engine._tables == {}
+
+
+def test_cancelled_forms_route_by_their_split():
+    # S1/(S1-S1+1) is the polynomial S1 and takes the series; 0*S1 is the
+    # zero polynomial and answers as a constant, with no table and no series.
+    engine = ExpectationEngine()
+    mean = ExpectationEngine().expectation_exact(300, 4, S1)
+    assert engine.expectation_exact(300, 4, parse("S1/(S1-S1+1)")) == mean
+    assert list(engine._series) == [(parse("S1/(S1-S1+1)"), 4)]
+    for text in ("0*S1", "S1-S1"):
+        assert engine.expectation_exact(300, 4, parse(text)) == 0
+    assert len(engine._series) == 1 and engine._tables == {}
 
 
 SPLIT = ("S2/S1", "S1*S2-S3", "S1+2*S2", "(S1-1)*S2^2/(2*S1)", "S1*S2*S3",

@@ -11,6 +11,7 @@ from strahler import combinatorics as comb
 from strahler import gf
 from strahler.expectations import _EXACT, ExpectationEngine, _series_pays
 from strahler.observables import parse
+from strahler.split import split_first
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "strahler"
 
@@ -21,8 +22,12 @@ def _kernel(engine, n, r, f):
     return Fraction(engine._expect(_EXACT, n, r, f), comb.catalan(n - 1))
 
 
+def _degree(f):
+    return split_first(f).degree()
+
+
 def _series(engine, n, r, f):
-    degree = f.polynomial_degree()
+    degree = _degree(f)
     if degree == 0:
         return Fraction(f.evaluate((0,)))
     return engine._expect_series(n, r, f, degree)
@@ -67,7 +72,7 @@ def test_series_equals_kernel_on_random_polynomials(coeffs, n, r):
         for i, c in enumerate(coeffs)
     )
     f = parse(text)
-    assert f.polynomial_degree() == len(coeffs) - 1
+    assert _degree(f) == max((i for i, c in enumerate(coeffs) if c), default=0)
     expected = _kernel(ExpectationEngine(), n, r, f)
     assert expected == sum(c * _kernel(ExpectationEngine(), n, r, parse(f"S1^{i}"))
                            for i, c in enumerate(coeffs))
@@ -78,7 +83,7 @@ def test_series_equals_kernel_on_random_polynomials(coeffs, n, r):
 def test_queries_either_side_of_the_dispatch_boundary_agree():
     for text in ("S1", "S1^2", "S1^3", "2*S1^2+S1/3-5"):
         f = parse(text)
-        degree = f.polynomial_degree()
+        degree = _degree(f)
         for r in (3, 4, 5):
             n = next(n for n in range(2, 2000) if _series_pays(n, r, degree))
             assert not _series_pays(n - 1, r, degree)
@@ -112,7 +117,7 @@ def test_denominator_closed_form():
     for k in range(1, 5):
         for r in range(2, 8):
             den = gf.denominator(k, r)
-            assert len(den) - 1 == gf.numerator_degree(k, r) - k - 1
+            assert len(den) - 1 == (k << (r - 1)) - k - 1
             for z in (Fraction(1, 3), Fraction(-3, 5)):
                 closed = (1 - 4 * z) ** (k - 1)
                 for j in range(1, r - 1):
@@ -122,16 +127,20 @@ def test_denominator_closed_form():
 
 def test_numerator_degree_bound_is_attained():
     # D_r sqrt(1-4z) F_r, from the kernel's coefficients of S1^k well past
-    # d_r = K 2^(r-1), is a polynomial of degree exactly deg D_r + k + 1.
+    # d_r = K 2^(r-1), is a polynomial of degree exactly deg D_r + k + 1,
+    # and it is N_1, from the values of S1^k, lifted by the substitution.
     for k in range(1, 5):
         f = parse(f"S1^{k}")
         engine = ExpectationEngine()
+        values = [0] + [m**k * comb.catalan(m - 1) for m in range(1, k + 1)]
+        first = gf.numerator(values, gf.denominator(k, 1))
         for r in range(2, 8):
-            d = gf.numerator_degree(k, r)
+            d = k << (r - 1)
             coeffs = [0] + [engine._expect(_EXACT, m, r, f) for m in range(1, d + 17)]
             den = gf.denominator(k, r)
             num = gf.numerator(coeffs, den)
             assert max(i for i, x in enumerate(num) if x) == d == len(den) - 1 + k + 1, (k, r)
+            assert gf.lift(first, k, r) == num[: d + 1], (k, r)
 
 
 def test_extend_continues_without_mutating():
@@ -143,6 +152,7 @@ def test_extend_continues_without_mutating():
     longer = gf.extend(num, den, head, 100)
     assert len(head) == 9 and longer[:9] == head
     assert gf.extend(num, den, longer[:50], 100) == longer
+    assert gf.extend(num, den, [], 100) == longer  # from coefficient 0
     assert longer[100] == engine._expect(_EXACT, 100, 4, f)
 
 

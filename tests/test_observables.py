@@ -107,6 +107,59 @@ def test_zero_polynomial_divisor_rejected():
     obs.parse("S1/(S1-1)")
 
 
+def _outcome(text):
+    try:
+        f = obs.parse(text)
+    except obs.ObservableSyntaxError as exc:
+        return str(exc), exc.position
+    return f.ast, f.arity
+
+
+def _zero_by_expansion(node, arity):
+    return not obs._rational(node, arity)[0]
+
+
+_zeros = st.sampled_from(["0", "(S1-S1)", "(S2-S2)", "(S1*S2-S2*S1)", "(0*S3)"])
+_with_zeros = st.recursive(
+    st.one_of(_zeros, st.sampled_from(["S1", "S2", "S3", "1", "2"])),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map("({0[0]}{0[1]}{0[2]})".format),
+        st.tuples(children, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_zeros)
+def test_zero_divisor_check_equals_the_full_expansion(text):
+    # Powers and products are judged by their bases and factors; the parse
+    # accepts and rejects as expanding every divisor does, at the same offset.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(obs, "_is_zero", _zero_by_expansion)
+        expected = _outcome(text)
+    assert _outcome(text) == expected
+    scanner = obs._Scanner(text)
+    ast, _height = obs._parse_expr(scanner)
+    for node in _nodes(ast):
+        assert obs._is_zero(node, scanner.arity) == _zero_by_expansion(node, scanner.arity)
+
+
+def test_zero_divisor_check_expands_no_power(monkeypatch):
+    calls = []
+    poly_mul = obs._poly_mul
+    monkeypatch.setattr(obs, "_poly_mul", lambda p, q: calls.append(1) or poly_mul(p, q))
+    # Only the base is expanded: three products for each sum node in it.
+    for text, sums in (("S1/(S1+1)^3000", 1), ("S1/(S1+S2+S3+S4)^40", 3)):
+        calls.clear()
+        obs.parse(text)
+        assert len(calls) == 3 * sums, text
+    calls.clear()
+    with pytest.raises(obs.ObservableSyntaxError) as excinfo:
+        obs.parse("S1/((S1-S1)^5000*S2)")
+    assert excinfo.value.position == 3 and len(calls) == 3
+
+
 def test_arity_is_the_largest_index_in_the_text():
     texts = [
         "1/2",
@@ -218,12 +271,26 @@ def test_fifty_deep_expressions_parse():
         assert obs.parse(f.text) == f  # canonical text stays within the bound
 
 
-def test_polynomial_degree_is_read_without_expanding():
+def test_split_degree_is_read_without_expanding(monkeypatch):
+    # The degree is exact after cancellation: S1-S1+1 is the constant 1, so
+    # S1/(S1-S1+1) is a polynomial, and 0*S1 is the zero polynomial.
     cases = {"S1^400000": 400000, "S1/3": 1, "2": 0, "(S1-1)*S1/2": 2,
-             "2*S1^2+S1/3-5": 2, "S1^0/(2-1)": 0, "S1*S2^3": 4,
-             "S1/(S1-S1+1)": None, "1/(1/S1)": None, "S1^2/S1": None}
+             "2*S1^2+S1/3-5": 2, "S1^0/(2-1)": 0, "S1^2-S1^2+S1": 1,
+             "S1/(S1-S1+1)": 1, "0*S1": 0, "S1-S1": 0,
+             "1/(1/S1)": None, "S1^2/S1": None}
+    calls = []
+    poly_mul = obs._poly_mul
+    monkeypatch.setattr(obs, "_poly_mul", lambda p, q: calls.append(1) or poly_mul(p, q))
     for text, degree in cases.items():
-        assert obs.parse(text).polynomial_degree() == degree, text
+        calls.clear()
+        assert split_first(obs.parse(text)).degree() == degree, text
+        if text == "S1^400000":
+            assert calls == [], "a power of one term is raised at once"
+    # S1*S2^3 is S1 times a part of degree 3; a one-variable form past the
+    # term limit does not split.
+    split = split_first(obs.parse("S1*S2^3"))
+    assert split.powers == (1,) and split.parts == (obs.parse("S1^3"),)
+    assert split_first(obs.parse("(S1+1)^3000")) is None
 
 
 def _exprs(leaves, divisors):
@@ -257,11 +324,12 @@ def _sprawls(f):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_of_many)
+@given(st.one_of(_of_many, _of_s1))
 def test_split_by_powers_of_s1_equals_evaluate(text):
+    # A one-variable f splits too, into constant parts.
     f = _parsed(text)
     split = split_first(f)
-    if f.arity < 2 or _sprawls(f):
+    if _sprawls(f):
         assert split is None
         return
     divisors = [node[2] for node in _nodes(f.ast) if node[0] == "/"]
@@ -276,7 +344,7 @@ def test_split_by_powers_of_s1_equals_evaluate(text):
             assert split.weights(n) is None, n
             continue
         weights, scale = split.weights(n)
-        for rest in product(range(4), repeat=f.arity - 1):
+        for rest in product(range(4), repeat=max(f.arity - 1, 1)):
             expected = f.evaluate((n, *rest))
             value = sum(w * p.evaluate(rest) for w, p in zip(weights, split.parts))
             assert Fraction(value, scale) == expected, (n, rest)
