@@ -28,7 +28,8 @@ independent oracle:
   ``S1/(S1-S1+1)``) at base order r >= 2 reads the coefficient of z^n in
   its generating function instead, where the operation counts of
   ``_series_pays`` say that is cheaper than the kernel: never at r = 2, and
-  from about n = 10 K 2^(r-1) (n = 44 for ``S1`` at r = 3). A constant,
+  from about n = 10 K 2^(r-1) (n = 44 for ``S1`` at r = 3). Where K = 1
+  does not pay, no K does, and f is not split; elsewhere a constant,
   ``0*S1`` included, is its own expectation. The series (``gf``) follows
   from f's values alone and is exact, so the answer is the same value
   either way. Observables that divide by a variable (``S1/S1``, ``1/S1``)
@@ -120,7 +121,6 @@ class _Arithmetic(NamedTuple):
 
     name: str  # "exact" or "float"
     dtype: type
-    row: Callable  # n -> K(n, .) over m = 0..n//2
     rows: Callable  # (lo, hi) -> (n, K(n, .)) for n = lo..hi, ascending
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
     leaf: Callable  # scaled observable value -> table entry
@@ -181,7 +181,7 @@ class ExpectationEngine:
 
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
         self._arithmetic(n, r, "exact")
-        if r > 1 and f.arity == 1:
+        if r > 1 and f.arity == 1 and _series_pays(n, r, 1):
             split = self._split(f)
             degree = split and split.degree()
             if degree == 0:  # a constant
@@ -256,7 +256,7 @@ class ExpectationEngine:
             window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
             return arith.leaf(arith.scale(n) * f.evaluate(window))
         if row is None:
-            row = arith.row(n)
+            row = next(arith.rows(n, n))[1]
         if j == 1:
             weights = below and self._split(f).weights(n)
             if weights:
@@ -447,14 +447,14 @@ def _exact_rows(lo: int, hi: int):
     return ((n, comb.multiplicity_row(n)) for n in range(lo, hi + 1))
 
 
-# (name, dtype, row, rows, scale, leaf, settle, combine, divide) of each mode
+# (name, dtype, rows, scale, leaf, settle, combine, divide) of each mode
 _EXACT = _Arithmetic(
-    "exact", object, comb.multiplicity_row, _exact_rows,
+    "exact", object, _exact_rows,
     lambda m: comb.catalan(max(m - 1, 0)), _integral, lambda n, dot: dot,
     _exact_combine, Fraction,
 )
 _FLOAT = _Arithmetic(
-    "float", float, comb.float_weight_row, comb.float_weight_rows, lambda m: 1,
+    "float", float, comb.float_weight_rows, lambda m: 1,
     _float_leaf, _float_settle, _float_combine, operator.truediv,
 )
 

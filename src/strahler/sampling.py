@@ -27,10 +27,10 @@ o-1 starts an order-o branch, so the kernel keeps ``joins[o]``, the
 number of such nodes, up to date at every node the cascade re-evaluates,
 and the profile is (n, joins[2], joins[3], ...) with no final scan.
 ``sample_uniform`` alone needs the tree: it wires the same choices into
-child lists without tracking orders. Both loops are plain CPython over
-Python lists and ints: numpy supplies only the bulk choice draw, since
-indexing numpy arrays one scalar at a time is several times slower than
-list indexing.
+child lists without tracking orders and builds it with ``trees._assemble``.
+Both loops are plain CPython over Python lists and ints: numpy supplies
+only the bulk choice draw, since indexing numpy arrays one scalar at a
+time is several times slower than list indexing.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -166,28 +166,10 @@ def _grown_profile(n: int, seed: int) -> trees_mod.BranchProfile:
     return trees_mod.BranchProfile((n, *profile))
 
 
-def _tree_from_arrays(left: list, right: list, root: int) -> trees_mod.Tree:
-    # Iterative post-order assembly; children always resolve first.
-    out = [root]
-    i = 0
-    while i < len(out):
-        v = out[i]
-        if left[v] >= 0:
-            out.append(left[v])
-            out.append(right[v])
-        i += 1
-    built: dict[int, trees_mod.Tree] = {}
-    for v in reversed(out):
-        if left[v] < 0:
-            built[v] = trees_mod.LEAF
-        else:
-            built[v] = (built[left[v]], built[right[v]])
-    return built[root]
-
-
 def _grown_tree(n: int, seed: int) -> trees_mod.Tree:
     """The grown tree: the choices of ``_grown_profile`` wired into child
-    lists, the low bit of each choice putting the fresh leaf on the left."""
+    lists, the low bit of each choice putting the fresh leaf on the left,
+    then assembled from the lists' pre-order walk."""
     size = 2 * n - 1
     parent = [-1] * size
     left = [-1] * size
@@ -215,7 +197,17 @@ def _grown_tree(n: int, seed: int) -> trees_mod.Tree:
         else:
             left[w] = v
             right[w] = leaf
-    return _tree_from_arrays(left, right, root)
+    preorder = []
+    pending = [root]
+    while pending:
+        v = pending.pop()
+        if left[v] < 0:
+            preorder.append(trees_mod.LEAF)
+        else:
+            preorder.append(trees_mod._SPLIT)
+            pending.append(right[v])
+            pending.append(left[v])
+    return trees_mod._assemble(preorder)
 
 
 def sample_uniform(n: int, seed: int) -> trees_mod.Tree:

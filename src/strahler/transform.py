@@ -18,34 +18,25 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from .trees import LEAF, Tree, _flatten, branch_counts, magnitude
+from .trees import LEAF, Tree, _fold, branch_counts, magnitude
 
 
-_GONE = object()  # marks a removed node during the phi fold
+_GONE = object()  # the phi image of a leaf: the node is removed
+
+
+def _contract(left, right) -> Tree:
+    """The phi image of a node from its children's images: a cherry becomes
+    a leaf and a unary node contracts onto its child."""
+    if left is _GONE:
+        return LEAF if right is _GONE else right
+    return left if right is _GONE else (left, right)
 
 
 def phi(t: Tree) -> Tree:
     """Remove all leaves of ``t`` and contract the resulting unary chains."""
     if t is None:
         raise ValueError("phi is undefined on a single leaf (magnitude 1)")
-    # Fold over the pre-order node list in reverse; children resolve before parents.
-    nodes, kids = _flatten(t)
-    image: list = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        a, b = kids[i]
-        if a < 0:
-            image[i] = _GONE  # leaves vanish
-        else:
-            la, lb = image[a], image[b]
-            if la is _GONE and lb is _GONE:
-                image[i] = LEAF  # cherry becomes a leaf
-            elif la is _GONE:
-                image[i] = lb  # unary node contracts onto its child
-            elif lb is _GONE:
-                image[i] = la
-            else:
-                image[i] = (la, lb)
-    return image[0]
+    return _fold(t, _GONE, _contract)
 
 
 def shift_check(t: Tree) -> bool:

@@ -14,8 +14,11 @@ A branch profile is its counts tuple, whose length is the root order.
 above them: the counts add, and equal root orders o start one branch of
 order o + 1 (Flajolet, Raoult & Vuillemin, 1979).
 
-All traversals are iterative so deep (caterpillar-like) trees of any
-magnitude are safe regardless of the interpreter recursion limit.
+One pre-order walk (``_preorder``) and one bottom-up fold over it
+(``_fold``) read every tree value, and one assembler (``_assemble``)
+builds every tree from a pre-order list of split markers and subtrees.
+All are iterative, so deep (caterpillar-like) trees of any magnitude are
+safe regardless of the interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -78,72 +81,80 @@ class BranchProfile(NamedTuple):
 
 def magnitude(t: Tree) -> int:
     """Leaf count of ``t``: a tree of n leaves has 2n - 1 nodes."""
-    return (len(_flatten(t)[0]) + 1) // 2
+    return (len(_preorder(t)) + 1) // 2
 
 
-def _flatten(t: Tree):
-    """Pre-order node list plus child indices (-1, -1 marks a leaf).
-
-    Children always come after their parent in the list, so a reversed scan
-    visits children before parents.
-    """
-    nodes, kids = [t], []
-    for v in nodes:  # the list grows while it is scanned
-        if v is None:
-            kids.append((-1, -1))
+def _preorder(t: Tree) -> list:
+    """The nodes of ``t`` in pre-order: node, left subtree, right subtree."""
+    nodes = []
+    pending = []  # right subtrees not yet visited, the nearest on top
+    while True:
+        nodes.append(t)
+        if t is not None:
+            pending.append(t[1])
+            t = t[0]
+        elif pending:
+            t = pending.pop()
         else:
-            j = len(nodes)
-            kids.append((j, j + 1))
-            nodes += v
-    return nodes, kids
+            return nodes
 
 
-def _node_orders(t: Tree):
-    nodes, kids = _flatten(t)
-    orders = [1] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        a, b = kids[i]
-        if a >= 0:
-            oa = orders[a]
-            ob = orders[b]
-            orders[i] = oa + 1 if oa == ob else (oa if oa > ob else ob)
-    return nodes, kids, orders
+def _fold(t: Tree, leaf, node):
+    """The bottom-up value of ``t``: a leaf is ``leaf``, an internal node is
+    ``node(left value, right value)``. The reversed pre-order visits right
+    subtree, left subtree, node, so the left value is on top of the stack."""
+    values = []
+    for v in reversed(_preorder(t)):
+        if v is None:
+            values.append(leaf)
+        else:
+            left = values.pop()
+            values.append(node(left, values.pop()))
+    return values[0]
+
+
+def _order(a: int, b: int) -> int:
+    """The order of a node whose children have orders a and b."""
+    return a + 1 if a == b else (a if a > b else b)
 
 
 def strahler_orders(t: Tree) -> OrderedTree:
     """Annotate every node of ``t`` with its Horton-Strahler order."""
-    nodes, kids, orders = _node_orders(t)
-    annotated: list[Optional[OrderedTree]] = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        a, b = kids[i]
-        if a < 0:
-            annotated[i] = OrderedTree(1, None, None)
-        else:
-            annotated[i] = OrderedTree(orders[i], annotated[a], annotated[b])
-    return annotated[0]
+    def node(a: OrderedTree, b: OrderedTree) -> OrderedTree:
+        return OrderedTree(_order(a.order, b.order), a, b)
+
+    return _fold(t, OrderedTree(1, None, None), node)
 
 
 def root_order(t: Tree) -> int:
-    return _node_orders(t)[2][0]
+    return _fold(t, 1, _order)
 
 
 def branch_counts(t: Tree) -> BranchProfile:
     """Branch profile of ``t``.
 
     A node heads a branch exactly when it has no parent or its parent has a
-    different order, so one head per maximal order path.
+    different order, so one head per maximal order path. The fold of
+    ``root_order`` is written out here to count heads as it goes.
     """
-    nodes, kids, orders = _node_orders(t)
-    counts = [0] * orders[0]
-    counts[orders[0] - 1] += 1  # root is always a head
-    for i, (a, b) in enumerate(kids):
-        if a >= 0:
-            o = orders[i]
-            if orders[a] != o:
-                counts[orders[a] - 1] += 1
-            if orders[b] != o:
-                counts[orders[b] - 1] += 1
-    return BranchProfile(tuple(counts))
+    nodes = _preorder(t)
+    heads = [0] * (len(nodes) + 1).bit_length()  # heads[o] for o <= n.bit_length()
+    orders = []
+    for v in reversed(nodes):
+        if v is None:
+            orders.append(1)
+        else:
+            a = orders.pop()
+            b = orders.pop()
+            o = _order(a, b)
+            if a != o:
+                heads[a] += 1
+            if b != o:
+                heads[b] += 1
+            orders.append(o)
+    root = orders[0]
+    heads[root] += 1
+    return BranchProfile(tuple(heads[1 : root + 1]))
 
 
 def join(a: tuple, b: tuple) -> tuple:
@@ -261,10 +272,14 @@ def _descend(n: int, rank: int, levels) -> list:
 
 def unrank_tree(n: int, rank: int) -> Tree:
     """Tree at position ``rank`` of the canonical enumeration of magnitude n."""
-    # Fold the reversed pre-order list: each marker joins the two subtrees
-    # built just before it.
+    return _assemble(_descend(n, rank, _all_trees))
+
+
+def _assemble(preorder: list) -> Tree:
+    """The tree of a pre-order list of ``_SPLIT`` markers and whole subtrees;
+    as in ``_fold``, each marker joins the two subtrees built before it."""
     built: list = []
-    for item in reversed(_descend(n, rank, _all_trees)):
+    for item in reversed(preorder):
         if item is _SPLIT:
             left = built.pop()
             built.append((left, built.pop()))

@@ -580,6 +580,26 @@ def test_cli_import_loads_neither_split_nor_gf():
     assert done.stdout.strip() == "[]"
 
 
+def test_setup_query_loads_no_split():
+    # expect --n 12 --r 2 is where the series does not pay even at degree 1,
+    # so it does not pay at any degree and the observable is never split.
+    script = (
+        "import contextlib, io, sys\n"
+        "import strahler.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = strahler.cli.main(['expect', '--n', '12', '--r', '2'])\n"
+        "assert code == 0, code\n"
+        "print('strahler.split' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_exit_code_resource_limit(capsys):
     code, _, err = run_cli(capsys, "expect", "--n", "400", "--mode", "exact")
     assert code == 3

@@ -48,7 +48,7 @@ def test_sampled_profiles_build_no_tree(monkeypatch):
     }
     monkeypatch.setattr(trees, "unrank_tree", forbidden)
     monkeypatch.setattr(trees, "branch_counts", forbidden)
-    monkeypatch.setattr(sampling, "_tree_from_arrays", forbidden)
+    monkeypatch.setattr(trees, "_assemble", forbidden)
     for n, result in expected.items():
         cfg = sampling.SampleConfig(n=n, trials=30, seed=4, f=S1, r=2)
         assert sampling.monte_carlo(cfg) == result

@@ -36,6 +36,30 @@ def test_phi_magnitude_equals_second_order_count():
             assert trees.magnitude(transform.phi(t)) <= n // 2
 
 
+def _ref_phi(t):
+    """Recursive reference for ``phi``: a cherry becomes a leaf, a node with
+    one leaf child becomes the image of the other child."""
+    left, right = t
+    if left is None:
+        return L if right is None else _ref_phi(right)
+    return _ref_phi(left) if right is None else (_ref_phi(left), _ref_phi(right))
+
+
+def test_phi_matches_recursive_reference_on_every_shape():
+    for n in range(2, 11):
+        for t in trees.enumerate_trees(n):
+            assert transform.phi(t) == _ref_phi(t)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_phi_of_deep_caterpillar(side):
+    # Every node of a caterpillar has a leaf child, so its image is one leaf.
+    t = L
+    for _ in range(10**5 - 1):
+        t = (t, L) if side == 0 else (L, t)
+    assert transform.phi(t) == L
+
+
 def test_shift_check_exhaustive_magnitude_8():
     shapes = list(trees.enumerate_trees(8))
     assert len(shapes) == 429

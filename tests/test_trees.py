@@ -21,7 +21,8 @@ def test_magnitude():
 def test_node_count_is_2n_minus_1():
     for n in range(1, 8):
         for t in trees.enumerate_trees(n):
-            nodes = len(trees._flatten(t)[0])
+            text = trees.encode(t)
+            nodes = text.count("*") + text.count("(")
             assert nodes == 2 * n - 1
 
 
@@ -61,6 +62,71 @@ def test_branch_profile_accessors():
     assert profile.s(2) == 2
     assert profile.s(9) == 0
     assert profile.window(2, 3) == (2, 1, 0)
+
+
+def _ref_annotate(t):
+    """Recursive reference for ``strahler_orders``."""
+    if t is None:
+        return trees.OrderedTree(1, None, None)
+    a, b = _ref_annotate(t[0]), _ref_annotate(t[1])
+    order = a.order + 1 if a.order == b.order else max(a.order, b.order)
+    return trees.OrderedTree(order, a, b)
+
+
+def _ref_counts(annotated):
+    """Recursive reference for ``branch_counts``: the root, and every node
+    whose parent has another order, heads one branch of its own order."""
+    counts = [0] * annotated.order
+
+    def walk(node, parent_order):
+        if node.order != parent_order:
+            counts[node.order - 1] += 1
+        if node.left is not None:
+            walk(node.left, node.order)
+            walk(node.right, node.order)
+
+    walk(annotated, None)
+    return tuple(counts)
+
+
+def _ref_magnitude(t):
+    return 1 if t is None else _ref_magnitude(t[0]) + _ref_magnitude(t[1])
+
+
+def test_folds_match_recursive_references_on_every_shape():
+    for n in range(1, 11):
+        for t in trees.enumerate_trees(n):
+            annotated = _ref_annotate(t)
+            assert trees.magnitude(t) == _ref_magnitude(t) == n
+            assert trees.strahler_orders(t) == annotated
+            assert trees.root_order(t) == annotated.order
+            assert trees.branch_counts(t).counts == _ref_counts(annotated)
+
+
+def _caterpillar(n, side):
+    """The n-leaf caterpillar whose spine runs down child ``side``."""
+    t = L
+    for _ in range(n - 1):
+        t = (t, L) if side == 0 else (L, t)
+    return t
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_folds_of_deep_caterpillars(side):
+    # 10^5 levels is far past the recursion limit. OrderedTree == recurses,
+    # so the annotation is checked by walking its spine.
+    n = 10**5
+    t = _caterpillar(n, side)
+    assert trees.magnitude(t) == n
+    assert trees.root_order(t) == 2
+    assert trees.branch_counts(t).counts == (n, 1)
+    spine, other = ("left", "right") if side == 0 else ("right", "left")
+    node, depth = trees.strahler_orders(t), 0
+    while node.left is not None:
+        assert node.order == 2 and getattr(node, other).order == 1
+        node = getattr(node, spine)
+        depth += 1
+    assert node.order == 1 and depth == n - 1
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (5, 14), (6, 42)])
