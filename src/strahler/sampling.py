@@ -4,33 +4,31 @@ Uniformity comes from two interchangeable exact schemes:
 
 * magnitude <= 64: draw a uniform big-integer rank below the Catalan count
   and unrank it through the canonical enumeration order;
-* larger magnitudes: leaf-insertion growth. Each step picks one of the
-  2k - 1 existing nodes and a side uniformly, then grafts a new internal
-  node with a fresh leaf there. The step count identity
-  (k+1) * c_k = 2 * (2k-1) * c_{k-1} makes every shape equally likely, so
-  the result is exactly uniform without big-integer arithmetic.
+* larger magnitudes: the cycle lemma (Dvoretzky & Motzkin, 1947;
+  Dershowitz & Zaks, 1990). A tree of magnitude n is its pre-order word
+  of n - 1 splits (+1) and n leaves (-1), valid when every proper prefix
+  sums to >= 0 (the whole sums to -1). Of the 2n - 1 rotations of any
+  arrangement of those steps exactly one is valid: the one starting just
+  after the first minimum of the prefix sums. So a uniform shuffle of the
+  steps, rotated there, is an exactly uniform tree, every shape coming
+  from 2n - 1 shuffles.
 
 Randomness is fixed and documented. Trial i of a Monte Carlo run draws
 from its own generator keyed by SHA-256(master seed, i): the rank path
-seeds the stdlib Mersenne Twister, the growth path seeds a numpy PCG64
-generator whose single bulk draw supplies all insertion choices. Streams
-are therefore splittable per trial, and any parallel or chunked execution
-reproduces the serial result bit for bit.
+seeds the stdlib Mersenne Twister; the cycle path seeds a numpy PCG64
+generator and takes its ``permutation`` of an int8 array of n - 1 +1s
+followed by n -1s, rotated to start after the first ``argmin`` of the
+inclusive ``cumsum``. Streams are therefore splittable per trial, and any
+parallel or chunked execution reproduces the serial result bit for bit.
 
 Neither path builds a tree for a profile. The unrank path folds the rank
-descent straight into branch counts (``trees.unrank_profile``). The
-growth path tracks Horton-Strahler orders in one kernel over flat
-parent/sibling/order lists: grafting above a leaf bumps that spot to
-order two, which cascades upward only while each parent's other child
-matches the bumped order exactly. A node whose two children share order
-o-1 starts an order-o branch, so the kernel keeps ``joins[o]``, the
-number of such nodes, up to date at every node the cascade re-evaluates,
-and the profile is (n, joins[2], joins[3], ...) with no final scan.
-``sample_uniform`` alone needs the tree: it wires the same choices into
-child lists without tracking orders and builds it with ``trees._assemble``.
-Both loops are plain CPython over Python lists and ints: numpy supplies
-only the bulk choice draw, since indexing numpy arrays one scalar at a
-time is several times slower than list indexing.
+descent straight into branch counts (``trees.unrank_profile``). The cycle
+path folds the word over plain ints, from its end: a leaf pushes order 1,
+and a split pops its children's orders a and b and pushes their node
+order, counting one order-(a+1) branch where a == b, so the profile is
+(n, joins at order 2, joins at order 3, ...). ``sample_uniform`` alone
+needs the tree: it maps the same word to ``trees._SPLIT`` markers and
+leaves and builds it with ``trees._assemble``.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -53,8 +51,6 @@ from .combinatorics import catalan
 from .observables import NonzeroOverZeroError, Observable
 
 UNRANK_LIMIT = 64
-
-_MAX_ORDER = 64  # root order is at most log2(magnitude) + 1
 
 
 @dataclass(frozen=True)
@@ -96,118 +92,20 @@ def _child_seed(seed: int, trial: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _growth_choices(n: int, seed: int) -> list:
-    """The n-1 insertion choices of one growth run; step k is uniform on [0, 4k-2)."""
-    highs = 4 * np.arange(1, n) - 2
-    return np.random.default_rng(seed).integers(0, highs).tolist()
-
-
 def _rank(n: int, seed: int) -> int:
     """The uniform rank below c_{n-1} that the unrank path draws."""
     return random.Random(seed).randrange(catalan(n - 1))
 
 
-def _grown_profile(n: int, seed: int) -> trees_mod.BranchProfile:
-    """Branch profile of one grown tree, from its join counts.
-
-    Node ids follow creation order: step k grafts internal node w = 2k-1
-    above the chosen node v, with the fresh leaf 2k as v's new sibling.
-    Which side the leaf takes does not change any order, so the kernel
-    ignores it. Orders only grow, by at most one per node, so a node whose
-    child went from o-1 to o, with the other child at order s, loses the
-    order-o join if s = o-1 (and keeps its order), gains an order-(o+1)
-    join if s = o (and rises to o+1), takes order o if s < o-1, and is
-    unchanged if s > o.
-    """
-    size = 2 * n - 1
-    parent = [-1] * size
-    sibling = [-1] * size
-    order = [1] * size
-    joins = [0] * _MAX_ORDER
-    w = -1
-    leaf = 0
-    for x in _growth_choices(n, seed):
-        v = x >> 1
-        w += 2
-        leaf += 2
-        p = parent[v]
-        parent[w] = p
-        parent[v] = w
-        parent[leaf] = w
-        s = sibling[v]
-        sibling[w] = s
-        if s >= 0:
-            sibling[s] = w
-        sibling[v] = leaf
-        sibling[leaf] = v
-        o = order[v]
-        if o > 1:
-            order[w] = o  # the parent sees an unchanged child order
-            continue
-        order[w] = 2
-        joins[2] += 1
-        new = 2  # the order the child below p has just risen to
-        while p >= 0:
-            o = order[s]  # p's other child
-            if o > new:
-                break
-            if o == new - 1:
-                joins[new] -= 1
-                break
-            if o == new:
-                new += 1
-                joins[new] += 1
-            order[p] = new
-            s = sibling[p]
-            p = parent[p]
-    profile = joins[2:]
-    while profile[-1] == 0:
-        profile.pop()
-    return trees_mod.BranchProfile((n, *profile))
-
-
-def _grown_tree(n: int, seed: int) -> trees_mod.Tree:
-    """The grown tree: the choices of ``_grown_profile`` wired into child
-    lists, the low bit of each choice putting the fresh leaf on the left,
-    then assembled from the lists' pre-order walk."""
-    size = 2 * n - 1
-    parent = [-1] * size
-    left = [-1] * size
-    right = [-1] * size
-    root = 0
-    w = -1
-    leaf = 0
-    for x in _growth_choices(n, seed):
-        v = x >> 1
-        w += 2
-        leaf += 2
-        p = parent[v]
-        parent[w] = p
-        parent[v] = w
-        parent[leaf] = w
-        if p < 0:
-            root = w
-        elif left[p] == v:
-            left[p] = w
-        else:
-            right[p] = w
-        if x & 1:
-            left[w] = leaf
-            right[w] = v
-        else:
-            left[w] = v
-            right[w] = leaf
-    preorder = []
-    pending = [root]
-    while pending:
-        v = pending.pop()
-        if left[v] < 0:
-            preorder.append(trees_mod.LEAF)
-        else:
-            preorder.append(trees_mod._SPLIT)
-            pending.append(right[v])
-            pending.append(left[v])
-    return trees_mod._assemble(preorder)
+def _cycle_word(n: int, seed: int) -> list:
+    """Pre-order word of one uniform tree of magnitude n: +1 a split, -1 a
+    leaf. A seeded shuffle of the steps, rotated to start just after the
+    first minimum of its prefix sums (the cycle lemma)."""
+    steps = np.ones(2 * n - 1, dtype=np.int8)
+    steps[n - 1 :] = -1
+    steps = np.random.default_rng(seed).permutation(steps)
+    k = int(np.argmin(np.cumsum(steps))) + 1
+    return steps[k:].tolist() + steps[:k].tolist()
 
 
 def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
@@ -216,7 +114,9 @@ def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
         raise ValueError(f"magnitude must be >= 1, got {n}")
     if n <= UNRANK_LIMIT:
         return trees_mod.unrank_tree(n, _rank(n, seed))
-    return _grown_tree(n, seed)
+    return trees_mod._assemble(
+        [trees_mod._SPLIT if x > 0 else trees_mod.LEAF for x in _cycle_word(n, seed)]
+    )
 
 
 def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:
@@ -224,7 +124,23 @@ def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:
     stream; neither path builds the tree."""
     if n <= UNRANK_LIMIT:
         return trees_mod.unrank_profile(n, _rank(n, child_seed))
-    return _grown_profile(n, child_seed)
+    # The order fold runs from the word's end, where each split follows its
+    # two subtrees; joins[o] counts the nodes whose children both have order
+    # o, and a root order is at most n.bit_length().
+    joins = [0] * n.bit_length()
+    orders = []
+    for x in reversed(_cycle_word(n, child_seed)):
+        if x < 0:
+            orders.append(1)
+        else:
+            a = orders.pop()
+            b = orders[-1]
+            if a == b:
+                joins[a] += 1
+                orders[-1] = a + 1
+            elif a > b:
+                orders[-1] = a
+    return trees_mod.BranchProfile((n, *joins[1 : orders[0]]))
 
 
 def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:

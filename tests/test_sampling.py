@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strahler import sampling, trees
 from strahler.observables import parse
@@ -27,15 +29,48 @@ def test_sample_uniform_magnitude():
         assert trees.magnitude(sampling.sample_uniform(n, 7)) == n
 
 
-def test_growth_kernel_matches_tree_core_branch_counts():
-    # The join-counting kernel must agree with the independent post-order
-    # computation on the tree the wiring loop builds from the same choices,
-    # at magnitudes on both sides of the unranking threshold.
-    for n in (2, 3, 5, 8, 30, 70, 150, 400, 1000, 4000):
+def _valid_word(word) -> bool:
+    """Every proper prefix sums to >= 0 and the whole to -1."""
+    total = 0
+    for i, x in enumerate(word):
+        total += x
+        if total < 0:
+            return i == len(word) - 1 and total == -1
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda k: st.permutations([1] * k + [-1] * (k + 1))
+    )
+)
+def test_cycle_lemma_one_valid_rotation(steps):
+    # Of the rotations of any arrangement of k splits (+1) and k + 1 leaves
+    # (-1), exactly one is a pre-order word: the one starting just after the
+    # first minimum of the inclusive prefix sums.
+    m = len(steps)
+    valid = [i for i in range(m) if _valid_word(steps[i:] + steps[:i])]
+    sums = list(itertools.accumulate(steps))
+    assert valid == [(sums.index(min(sums)) + 1) % m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**128 - 1))
+def test_cycle_word_is_a_preorder_word(n, seed):
+    word = sampling._cycle_word(n, seed)
+    assert sorted(word) == [-1] * n + [1] * (n - 1)
+    assert _valid_word(word)
+
+
+def test_cycle_profile_matches_tree_core_branch_counts():
+    # The int order fold must agree with the independent branch counting on
+    # the tree assembled from the same word, above the unranking threshold.
+    for n in (65, 70, 150, 400, 1000, 4000):
         for seed in range(20 if n <= 400 else 3):
-            profile = sampling._grown_profile(n, seed * 31 + n)
-            t = sampling._grown_tree(n, seed * 31 + n)
-            assert trees.branch_counts(t) == profile
+            s = seed * 31 + n
+            profile = sampling._sampled_profile(n, s)
+            assert trees.branch_counts(sampling.sample_uniform(n, s)) == profile
 
 
 def test_sampled_profiles_build_no_tree(monkeypatch):
@@ -67,13 +102,18 @@ def test_uniformity_chi_square_small_magnitudes():
         assert 0.001 <= p <= 0.999, (n, p)
 
 
-def test_growth_path_uniformity_chi_square():
-    # Drive the growth sampler itself (not unranking) through a chi-square
-    # by wiring grown trees directly at n=5.
+def test_cycle_path_uniformity_chi_square():
+    # Drive the cycle-lemma sampler itself (not unranking) through a
+    # chi-square by assembling its words directly at n=5.
     trials = 20000
     shapes = list(trees.enumerate_trees(5))
-    tally = Counter(sampling._grown_tree(5, sampling._child_seed(3, i)) for i in range(trials))
+    words = (sampling._cycle_word(5, sampling._child_seed(3, i)) for i in range(trials))
+    tally = Counter(
+        trees._assemble([trees._SPLIT if x > 0 else trees.LEAF for x in word])
+        for word in words
+    )
     observed = [tally.get(t, 0) for t in shapes]
+    assert sum(observed) == trials
     p = chi_square_p_value(observed)
     assert 0.001 <= p <= 0.999, p
 
@@ -162,27 +202,27 @@ def test_monte_carlo_rejects_undefined_observable():
     assert excinfo.value.window == (1, 0)
 
 
-# Seeded streams recorded with the numpy-array growth kernel and the
+# Seeded streams recorded with the cycle-lemma sampler (n > 64) and the
 # recursive unranking; both sampling paths must keep reproducing them.
 PINNED_PROFILES = [
     (6, 0, 0, (6, 1)),
     (6, 42, 7, (6, 2, 1)),
     (48, 1, 3, (48, 13, 3, 1)),
     (48, 42, 0, (48, 14, 4, 2, 1)),
-    (65, 5, 2, (65, 17, 4, 2, 1)),
-    (65, 42, 11, (65, 13, 4, 1)),
-    (1000, 42, 0, (1000, 257, 66, 13, 3, 1)),
-    (1000, 7, 19, (1000, 246, 64, 15, 4, 1)),
-    (4000, 42, 1, (4000, 985, 246, 58, 17, 3, 1)),
-    (4000, 3, 5, (4000, 1003, 257, 62, 14, 4, 1)),
+    (65, 5, 2, (65, 20, 4, 1)),
+    (65, 42, 11, (65, 16, 5, 2, 1)),
+    (1000, 42, 0, (1000, 254, 64, 15, 4, 1)),
+    (1000, 7, 19, (1000, 256, 66, 17, 3, 1)),
+    (4000, 42, 1, (4000, 1005, 257, 61, 17, 5, 2, 1)),
+    (4000, 3, 5, (4000, 991, 245, 65, 18, 6, 2, 1)),
 ]
 
 # SHA-256 of trees.encode(sample_uniform(n, seed)).
 PINNED_TREES = [
     (48, 0, "64a0a1e60e7b3de25e05786cd6bdb78e8dc550a30a096eed0174938720f7d7aa"),
     (48, 2024, "deec68fead95bb2787151bdb25901d93fd11b3ce61881c9b329ca9b8dabd5231"),
-    (130, 7, "0866b341bed4f302a6142646211c4958642cd0520fb1f8cddc8a10732196edac"),
-    (130, 99, "aa632917e7e3674891b9070bad0f9c3f1538d6135763bb2cba3038e7161f186b"),
+    (130, 7, "5f53fed9748a8647cf492b2d990f632453820294055d36cd4b6703d6684d8433"),
+    (130, 99, "7ae750b7879af73b469f336c004d3b21556204b9c1268c7face9cad569c89a51"),
 ]
 
 
@@ -201,7 +241,7 @@ def test_sample_uniform_tree_is_pinned(n, seed, digest):
 def test_monte_carlo_result_is_pinned():
     cfg = sampling.SampleConfig(n=1000, trials=50, seed=42, f=S1, r=2)
     assert sampling.monte_carlo(cfg) == sampling.MonteCarloResult(
-        250.1, 1.0929271686248665, 50
+        252.02, 1.0615698809993142, 50
     )
 
 
