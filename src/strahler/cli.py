@@ -17,19 +17,25 @@ import csv
 import decimal
 import errno
 import functools
+import importlib.util
 import io
 import json
 import math
 import os
+import platform
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from . import asymptotics as asym
+from . import combinatorics as comb
 from . import sampling, verification
 from . import trees as trees_mod
 from .expectations import (
     DEFAULT_EXACT_LIMIT,
+    ORACLE_LIMIT,
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
@@ -407,9 +413,27 @@ def cmd_verify(args) -> int:
             }
             for r in results
         ],
+        "environment": _environment(),
     }
     _write(json.dumps(summary, indent=2) + "\n", args.out)
     return EXIT_OK if summary["passed"] else EXIT_FAILURE
+
+
+def _environment() -> dict:
+    """What a verify run ran on: the Python and numpy versions, whether numba
+    is installed, the core count and the engine's limits."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba": importlib.util.find_spec("numba") is not None,
+        "cpu_count": os.cpu_count(),
+        "limits": {
+            "DEFAULT_EXACT_LIMIT": DEFAULT_EXACT_LIMIT,
+            "ORACLE_LIMIT": ORACLE_LIMIT,
+            "UNRANK_LIMIT": sampling.UNRANK_LIMIT,
+            "BLOCK_ENTRIES": comb.BLOCK_ENTRIES,
+        },
+    }
 
 
 def _add_common(sub, with_query=True, with_f=True, with_sampling=False):

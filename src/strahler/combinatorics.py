@@ -18,7 +18,7 @@ import numpy as np
 _LOG2 = math.log(2.0)
 
 # Entries per block of float weight rows: 2^15 float64 entries are 256 KiB.
-_BLOCK_ENTRIES = 1 << 15
+BLOCK_ENTRIES = 1 << 15
 
 # Incrementally grown Catalan cache; list index i holds c_i.
 _catalan_cache: list[int] = [1]
@@ -105,39 +105,62 @@ def float_weight_row(n: int) -> np.ndarray:
     for n >= 2).
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
     branch, and magnitude 0, above the root order, stays put. The row is the
-    one-row case of ``float_weight_rows``. Relative error is a small
-    multiple of the largest lgamma magnitude times machine epsilon (within
-    1e-12 for n up to a few hundred).
+    one-row case of ``_weight_block``, with the bits of row n of its block in
+    ``float_weight_blocks``. Relative error is a small multiple of the largest
+    lgamma magnitude times machine epsilon (within 1e-12 for n up to a few
+    hundred).
     """
-    return next(float_weight_rows(n, n))[1]
+    if n < 2:
+        return np.ones(1)
+    width = _block_width(n)
+    flat = np.empty(1 + width)
+    _weight_block(n, n, width, flat)
+    return flat[: n // 2 + 1]
 
 
-def float_weight_rows(lo: int, hi: int):
-    """Yield (n, float_weight_row(n)) for n = lo..hi in ascending n.
+def float_weight_blocks(lo: int, hi: int):
+    """Yield (a, block) for each block a..b of the fixed partition of the
+    magnitudes >= 2 that meets lo..hi, in ascending order.
 
-    Rows of magnitude >= 2 come a block of magnitudes at a time, each block
-    one vectorised log-gamma expression (``_weight_block``), so a range of
-    rows costs a few numpy calls per block rather than per row. A block
-    holds about ``_BLOCK_ENTRIES`` entries and each row is a view into it.
+    ``block`` is the (b - a + 1, width) matrix whose row n - a holds
+    w(n, m), m = 0 .. width - 1, for n in lo..hi, and zeros for the block's
+    other rows; width > b//2, so the entries past m = n//2 are exact zeros.
+    The partition is chained from magnitude 2: a block a..b holds the most
+    rows k for which k rows of width up to (a + k + 1) / 2 stay within
+    ``BLOCK_ENTRIES`` entries. Which block holds a magnitude, and the
+    block's shape, therefore never depend on lo and hi, and neither does the
+    summation order of a product taken at the block's full shape. Each
+    block is one vectorised log-gamma expression (``_weight_block``) over
+    the rows lo..hi only.
     """
-    for n in range(lo, min(hi, 1) + 1):
-        yield n, np.ones(1)
-    a = max(lo, 2)
+    a = 2
     while a <= hi:
-        # The most rows k for which k rows of width up to (a + k + 1) / 2
-        # stay within the entry budget.
-        k = (math.isqrt((a + 1) ** 2 + 8 * _BLOCK_ENTRIES) - (a + 1)) // 2
-        b = min(hi, a + max(k, 1) - 1)
-        flat, width = _weight_block(a, b)
-        for n in range(a, b + 1):
-            start = (n - a) * width
-            yield n, flat[start : start + n // 2 + 1]
+        k = max((math.isqrt((a + 1) ** 2 + 8 * BLOCK_ENTRIES) - (a + 1)) // 2, 1)
+        if a + k <= lo:
+            # The blocks keep k rows while they start at or below
+            # 2 BLOCK_ENTRIES // k - k - 1 (for k = 1, forever), so those
+            # wholly below lo are skipped at once.
+            same = (2 * BLOCK_ENTRIES // k - k - 1 - a) // k + 1 if k > 1 else lo
+            a += min(same, (lo - a) // k) * k
+            continue
+        b = a + k - 1
+        first, last = max(lo, a), min(hi, b)
+        width = _block_width(b)
+        flat = np.zeros(1 + (b - a + 1) * width)
+        _weight_block(first, last, width, flat[(first - a) * width : (last - a + 1) * width + 1])
+        yield a, flat[:-1].reshape(b - a + 1, width)
         a = b + 1
 
 
-def _weight_block(a: int, b: int) -> tuple:
-    """Rows w(n, .) of 2 <= a <= n <= b laid end to end: (flat, width), row
-    n starting at flat[(n - a) * width] with its m = 0 entry.
+def _block_width(b: int) -> int:
+    """The row width of a block whose last magnitude is b: even and > b//2."""
+    return b // 2 + 2 - b // 2 % 2
+
+
+def _weight_block(a: int, b: int, width: int, flat: np.ndarray):
+    """Write rows w(n, .) of 2 <= a <= n <= b end to end into flat, of length
+    1 + (b - a + 1) * width for an even width > b//2: row n starts at
+    flat[(n - a) * width] with its m = 0 entry.
 
     Entry m = 1 .. n//2 of row n, q = n - 2m, is the exp of
     lgamma(n-1) + q log 2 - lgamma(q+1) - lgamma(m+1) - lgamma(m)
@@ -150,13 +173,11 @@ def _weight_block(a: int, b: int) -> tuple:
     lgamma(q + 1) gathered once per block; past m = n//2, where q < 0, those
     read 0 and +inf, so the entries there are exact zeros. Since width >
     b//2, the last entry of each row is such a zero and doubles as the m = 0
-    entry of the next row. The width is even, so every row starts 16-byte
-    aligned, as a freshly allocated row does.
+    entry of the next row. The width is even, so a row starts 16-byte
+    aligned where flat does.
     """
-    lgammas, q_log2 = _log_tables(2 * b)
+    lgammas, q_log2 = _log_tables(max(2 * b, width + 1))
     ns = np.arange(a, b + 1)
-    width = b // 2 + 2 - b // 2 % 2  # m = 1 .. width
-    flat = np.empty(1 + len(ns) * width)
     flat[0] = -math.inf  # w(a, 0) = 0
     logs = flat[1:].reshape(len(ns), width)
     for first in range(a, min(a + 1, b) + 1):
@@ -175,7 +196,7 @@ def _weight_block(a: int, b: int) -> tuple:
     np.add(logs, lgammas[ns + 1, None], out=logs)
     np.add(logs, lgammas[ns, None], out=logs)
     np.subtract(logs, lgammas[2 * ns - 1, None], out=logs)
-    return np.exp(flat, out=flat), width
+    np.exp(flat, out=flat)
 
 
 def _toeplitz(diagonals: np.ndarray, count: int) -> np.ndarray:

@@ -47,7 +47,10 @@ The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
 whenever f is integer-valued, divided by c_{n-1} once per answer or table.
 Float mode uses the log-gamma rows w(n, m) and carries a first-order
-absolute error bound alongside every value.
+absolute error bound alongside every value. Exact mode steps one row at a
+time; float mode fills a level >= 2 and pushes a law by one matrix product
+per block of a fixed partition of the magnitudes (``comb.float_weight_blocks``),
+taken at the block's full shape, and a query's own entry by one row's dot.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -55,7 +58,9 @@ rebound, hashes and compares by its AST and is never printed. Results do
 not depend on call order. A fill assigns a longer table under its key and
 never mutates one, and so does a series store, keyed by (observable,
 order); every entry is a pure function of the key and its magnitude, which
-keeps concurrent use safe under the usual dict atomicity. Each
+keeps concurrent use safe under the usual dict atomicity. In float mode that
+holds to the bit, since a product's summation order depends on its shape
+alone and a block's shape not on the range a fill covers. Each
 observable's split is made once per engine and kept. Magnitudes below 2
 are read off their window, (n, 0, ...) at order 1 and all zeros above;
 every other entry is one kernel step. No row of
@@ -116,15 +121,18 @@ class _Arithmetic(NamedTuple):
 
     An exact table entry is an int count, or a Fraction for a rational f;
     a float entry is (value, |value|, absolute error bound), so one kernel
-    dot yields the sum, its absolute mass and the propagated error.
+    product yields the sum, its absolute mass and the propagated error.
     """
 
     name: str  # "exact" or "float"
-    dtype: type
-    rows: Callable  # (lo, hi) -> (n, K(n, .)) for n = lo..hi, ascending
+    row: Callable  # n -> K(n, .)
+    rows: Callable  # (lo, hi) -> (n, K(n, .)) for n = lo..hi >= 2, ascending
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
-    leaf: Callable  # scaled observable value -> table entry
-    settle: Callable  # (n, K(n, .) @ level below) -> table entry
+    leaves: Callable  # scaled observable values -> table rows
+    pack: Callable  # table entries -> table rows
+    step: Callable  # (n, K(n, .), level below) -> table entry
+    steps: Callable  # (lo, hi, level below) -> table rows of n = lo..hi >= 2
+    push: Callable  # law -> the law one forward kernel step later
     combine: Callable  # (weights, scale, entries) -> sum of weights * entries / scale
     divide: Callable  # (count, normaliser) -> answer
 
@@ -212,15 +220,19 @@ class ExpectationEngine:
         if done > top:
             return table
         below = self._below(arith, f, j, top)
-        fresh = [arith.leaf(0)] if done == 0 else []
-        start = max(done, 1)
-        if j == 1 and f.arity == 1:  # every entry is f at its window
-            rows = ((m, None) for m in range(start, top + 1))
-        else:
+        # Magnitude 1, and every magnitude at order 1 of a one-variable f, is
+        # f at its window; every other entry is one kernel step.
+        last_leaf = top if j == 1 and f.arity == 1 else min(top, 1)
+        values = [0] if done == 0 else []
+        values += [_window_value(arith, f, j, m) for m in range(max(done, 1), last_leaf + 1)]
+        fresh = [arith.leaves(values)]
+        start = max(done, last_leaf + 1)
+        if start <= top and j > 1:
+            fresh.append(arith.steps(start, top, below))
+        elif start <= top:
             rows = arith.rows(start, top)
-        fresh += [self._entry(arith, f, j, m, below, row) for m, row in rows]
-        fresh = np.array(fresh, dtype=arith.dtype)
-        table = fresh if done == 0 else np.concatenate((table, fresh))
+            fresh.append(arith.pack([self._entry(arith, f, 1, m, below, row) for m, row in rows]))
+        table = np.concatenate(([] if done == 0 else [table]) + fresh)
         self._tables[key] = table
         return table
 
@@ -253,17 +265,16 @@ class ExpectationEngine:
         otherwise, and for an f that does not split, it is the step over f
         with its first variable bound to n."""
         if n < 2 or (j == 1 and f.arity == 1):
-            window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
-            return arith.leaf(arith.scale(n) * f.evaluate(window))
+            return arith.leaves([_window_value(arith, f, j, n)]).tolist()[0]
         if row is None:
-            row = next(arith.rows(n, n))[1]
+            row = arith.row(n)
         if j == 1:
             weights = below and self._split(f).weights(n)
             if weights:
-                parts = [arith.settle(n, row @ part[: len(row)]) for part in below]
+                parts = [arith.step(n, row, part) for part in below]
                 return arith.combine(*weights, parts)
             below = self._level(arith, f.bind_first(n), 1, n // 2)
-        return arith.settle(n, row @ below[: len(row)])
+        return arith.step(n, row, below)
 
     def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
         """E_n[f at base r >= 2] for a polynomial f of the given degree >= 1,
@@ -348,14 +359,7 @@ class ExpectationEngine:
             return self._laws[key]
         if steps == 0:
             return [0] * n + [1]
-        below = self._law(arith, n, steps - 1)
-        pushed = np.zeros((len(below) + 1) // 2, dtype=arith.dtype)
-        support = [k for k, x in enumerate(below) if x]
-        for k, row in arith.rows(support[0], support[-1]):
-            x = below[k]
-            if x:
-                pushed[: len(row)] += x * row
-        law = self._laws[key] = pushed.tolist()
+        law = self._laws[key] = arith.push(self._law(arith, n, steps - 1))
         return law
 
     # -- derived statistics -------------------------------------------------------
@@ -401,6 +405,13 @@ def _series_pays(n: int, r: int, degree: int) -> bool:
     return 2 * n * per_coefficient <= 5 * kernel_steps
 
 
+def _window_value(arith: _Arithmetic, f: Observable, j: int, n: int):
+    """The scaled value of f at the window of magnitude n at level j, where
+    no kernel step applies: (n, 0, ...) at order 1 and all zeros above."""
+    window = (n if j == 1 else 0,) + (0,) * (f.arity - 1)
+    return arith.scale(n) * f.evaluate(window)
+
+
 def _integral(value):
     """c_{m-1} f as an int when integral, so counting sums skip the gcd: f is
     an int unless it divides, and c_{m-1} f is often integral when f is not."""
@@ -425,37 +436,114 @@ def _float_combine(weights: list, scale: int, entries: list) -> tuple:
     return total, abs(total), error + mass * (len(entries) + 2) * _EPS
 
 
-def _float_leaf(value) -> tuple:
-    v = float(value)
-    return v, abs(v), 2 * _EPS * abs(v)
-
-
-def _float_settle(n: int, dot: np.ndarray) -> tuple:
-    """The entry from w(n, .) @ (level below): the weights' own error and the
-    summation rounding add to the children's errors in proportion to the mass."""
-    total, mass, error = dot.tolist()
-    return total, abs(total), error + mass * (_weight_error(n) + (n // 2 + 1) * _EPS)
-
-
-def _weight_error(n: int) -> float:
-    """Relative error allowed each entry of the log-gamma row w(n, .)."""
-    return 8 * _EPS * max(1.0, 2 * n * math.log1p(2 * n))
-
-
 def _exact_rows(lo: int, hi: int):
     """(n, multiplicity_row(n)) for n = lo..hi; exact rows come one at a time."""
     return ((n, comb.multiplicity_row(n)) for n in range(lo, hi + 1))
 
 
-# (name, dtype, rows, scale, leaf, settle, combine, divide) of each mode
+def _exact_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
+    return np.array([row @ below[: len(row)] for _, row in _exact_rows(lo, hi)], dtype=object)
+
+
+def _exact_push(law: list) -> list:
+    pushed = np.zeros((len(law) + 1) // 2, dtype=object)
+    support = [k for k, x in enumerate(law) if x]
+    for k, row in _exact_rows(support[0], support[-1]):
+        x = law[k]
+        if x:
+            pushed[: len(row)] += x * row
+    return pushed.tolist()
+
+
+def _float_leaves(values: list) -> np.ndarray:
+    """Float table rows (v, |v|, 2 eps |v|) of the values v, one array."""
+    v = np.array(values, dtype=float)
+    return np.column_stack((v, np.abs(v), 2 * _EPS * np.abs(v)))
+
+
+def _float_settle(ns: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """The table rows from w(n, .) @ (level below), one row of ``dots`` per
+    magnitude n in ns."""
+    total, mass, error = dots.T
+    return np.column_stack((total, np.abs(total), error + mass * _step_error(ns)))
+
+
+def _float_step(n: int, row: np.ndarray, below: np.ndarray) -> tuple:
+    """The entry w(n, .) @ below of one magnitude, settled as a block's rows
+    are."""
+    total, mass, error = (row @ below[: len(row)]).tolist()
+    return total, abs(total), error + mass * float(_step_error(n))
+
+
+def _step_error(n):
+    """Relative error one kernel step at magnitude n adds per unit of mass,
+    for a magnitude or an array of them: the weights' own error and the
+    summation rounding, which bounds any summation order (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §4.2). It adds to the
+    children's errors in proportion to the mass."""
+    return _weight_error(n) + (n // 2 + 1) * _EPS
+
+
+def _weight_error(n):
+    """Relative error allowed each entry of the log-gamma row w(n, .), for a
+    magnitude or an array of them."""
+    return 8 * _EPS * np.maximum(1.0, 2 * n * np.log1p(2 * n))
+
+
+def _float_rows(lo: int, hi: int):
+    """(n, w(n, .)) for n = lo..hi >= 2, views into the weight blocks."""
+    for a, block in comb.float_weight_blocks(lo, hi):
+        for n in range(max(lo, a), min(hi, a + len(block) - 1) + 1):
+            yield n, block[n - a, : n // 2 + 1]
+
+
+def _float_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
+    """The table rows w(n, .) @ below of n = lo..hi >= 2: one matrix product
+    per weight block (``comb.float_weight_blocks``), taken at the block's
+    full shape over below zero-padded to the block's width. The product's
+    summation order depends on its shape alone, so an entry has the same
+    bits whatever range fills it."""
+    fresh = []
+    for a, block in comb.float_weight_blocks(lo, hi):
+        rows, width = block.shape
+        first, last = max(lo, a), min(hi, a + rows - 1)
+        padded = np.zeros((width, 3))
+        padded[: last // 2 + 1] = below[: last // 2 + 1]
+        dots = (block @ padded)[first - a : last - a + 1]
+        fresh.append(_float_settle(np.arange(first, last + 1), dots))
+    return np.concatenate(fresh)
+
+
+def _float_push(law: list) -> list:
+    """One forward step of a float law: magnitudes 0 and 1 go to 0, and the
+    rest by one vector-matrix product per weight block, at its full shape."""
+    pushed = np.zeros((len(law) + 1) // 2)
+    pushed[0] = sum(law[:2])
+    support = np.flatnonzero(law[2:]) + 2
+    if len(support):
+        for a, block in comb.float_weight_blocks(int(support[0]), int(support[-1])):
+            rows, width = block.shape
+            weights = np.zeros(rows)
+            part = law[a : a + rows]
+            weights[: len(part)] = part
+            width = min(width, len(pushed))  # every column past it is zero
+            pushed[:width] += (weights @ block)[:width]
+    return pushed.tolist()
+
+
+# (name, row, rows, scale, leaves, pack, step, steps, push, combine, divide)
+# of each mode
 _EXACT = _Arithmetic(
-    "exact", object, _exact_rows,
-    lambda m: comb.catalan(max(m - 1, 0)), _integral, lambda n, dot: dot,
+    "exact", comb.multiplicity_row, _exact_rows, lambda m: comb.catalan(max(m - 1, 0)),
+    lambda values: np.array([_integral(v) for v in values], dtype=object),
+    lambda entries: np.array(entries, dtype=object),
+    lambda n, row, below: row @ below[: len(row)], _exact_steps, _exact_push,
     _exact_combine, Fraction,
 )
 _FLOAT = _Arithmetic(
-    "float", float, comb.float_weight_rows, lambda m: 1,
-    _float_leaf, _float_settle, _float_combine, operator.truediv,
+    "float", comb.float_weight_row, _float_rows, lambda m: 1, _float_leaves,
+    lambda entries: np.array(entries, dtype=float).reshape(-1, 3),
+    _float_step, _float_steps, _float_push, _float_combine, operator.truediv,
 )
 
 _LINEAR = _parse("S1")

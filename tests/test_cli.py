@@ -1,16 +1,19 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import pathlib
+import platform
 import shlex
 import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -701,6 +704,23 @@ def test_verify_reduced_run_reports_known_failures(capsys):
     assert summary["passed"] is False
     assert len(summary["checks"]) == 10
     assert "PASS  oracle-equivalence" in err
+
+
+def test_verify_json_records_its_environment(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--trials", "2")
+    assert code == 1  # the two known red checks
+    assert json.loads(out)["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba": importlib.util.find_spec("numba") is not None,
+        "cpu_count": os.cpu_count(),
+        "limits": {
+            "DEFAULT_EXACT_LIMIT": 300,
+            "ORACLE_LIMIT": 40,
+            "UNRANK_LIMIT": 64,
+            "BLOCK_ENTRIES": 1 << 15,
+        },
+    }
 
 
 def test_verify_corruption_hook_names_failing_check(capsys, monkeypatch):

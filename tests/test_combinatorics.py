@@ -119,16 +119,37 @@ def test_float_weight_row_equals_the_gather_formula():
 
 
 def test_float_weight_rows_equal_single_rows():
-    # A row has the same bits whichever block builds it and wherever in the
-    # block it sits; rows come in ascending magnitude, one per magnitude.
+    # A block row has the bits of the single row whichever range fills the
+    # block and wherever in the block it sits; the block's other rows are
+    # zero, and the blocks are one fixed partition of the magnitudes from 2,
+    # in ascending order, whatever the range.
+    rows_at, a = {}, 2  # the partition's rule, chained block by block
+    while a <= 10**5:
+        rows_at[a] = max((math.isqrt((a + 1) ** 2 + 8 * comb.BLOCK_ENTRIES) - (a + 1)) // 2, 1)
+        a += rows_at[a]
     ranges = [(lo, 600) for lo in range(4)]
     ranges += [(1000, 1300), (1001, 1300), (3990, 4100), (9990, 10010), (5, 4), (0, 1)]
-    ranges += [(n, n) for n in (0, 1, 2, 3, 17, 1000, 4001, 9999, 10**4)]
+    ranges += [(65530, 65540)]  # where blocks shrink to one row
+    ranges += [(n, n) for n in (0, 1, 2, 3, 17, 1000, 4001, 9999, 10**4, 10**5)]
     for lo, hi in ranges:
-        rows = list(comb.float_weight_rows(lo, hi))
-        assert [n for n, _ in rows] == list(range(lo, hi + 1)), (lo, hi)
-        for n, row in rows:
-            assert np.array_equal(row, comb.float_weight_row(n)), (lo, hi, n)
+        filled, starts = [], []
+        for a, block in comb.float_weight_blocks(lo, hi):
+            rows, width = block.shape
+            assert width % 2 == 0 and width > (a + rows - 1) // 2, (lo, hi, a)
+            assert rows_at.get(a) == rows, (lo, hi, a)
+            assert not starts or starts[-1] < a, (lo, hi, a)
+            starts.append(a)
+            for n, row in enumerate(block, start=a):
+                if lo <= n <= hi:
+                    single = comb.float_weight_row(n)
+                    assert np.array_equal(row[: len(single)], single), (lo, hi, n)
+                    assert not row[len(single) :].any(), (lo, hi, n)
+                    filled.append(n)
+                else:
+                    assert not row.any(), (lo, hi, n)
+        assert filled == list(range(max(lo, 2), hi + 1)), (lo, hi)
+    for n in (0, 1):  # δ_0 below magnitude 2, outside every block
+        assert comb.float_weight_row(n).tolist() == [1.0]
 
 
 def test_weight_mode_validation():

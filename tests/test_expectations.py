@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -16,8 +18,10 @@ from strahler.expectations import (
     DegenerateRatioError,
     ExpectationEngine,
     LimitExceededError,
-    _float_leaf,
+    _EPS,
+    _float_leaves,
     _float_settle,
+    _float_step,
 )
 from strahler.observables import NonzeroOverZeroError, Observable, parse
 from strahler.verification import HORTON_FLOAT_GRID, MOMENT_RATIO_GRID
@@ -135,25 +139,61 @@ def test_float_answers_do_not_depend_on_query_order():
     assert answers(queries) == answers(queries[::-1])
 
 
-def _float_levels(f, levels, top):
+def _float_levels(f, levels, top, by_block=True):
     """Float level tables 1..levels of a one-variable f over 0..top: f at
-    the window below magnitude 2 and at order 1, and one
-    ``float_weight_row(n) @ below`` per other entry."""
-    tables = []
-    for j in range(1, levels + 1):
-        entries = [_float_leaf(0)]
-        for n in range(1, top + 1):
-            if j == 1 or n < 2:
-                entries.append(_float_leaf(f.evaluate((n if j == 1 else 0,))))
-            else:
-                row = comb.float_weight_row(n)
-                entries.append(_float_settle(n, row @ tables[-1][: len(row)]))
-        tables.append(np.array(entries))
+    the window below magnitude 2 and at order 1, and w(n, .) @ (level below)
+    for every other entry, by one product per weight block at the block's
+    full shape over every row 2..top, or by one dot per row."""
+    tables = [_float_leaves([0] + [f.evaluate((n,)) for n in range(1, top + 1)])]
+    for _ in range(2, levels + 1):
+        below, body = tables[-1], []
+        if by_block:
+            for a, block in comb.float_weight_blocks(2, top):
+                padded = np.zeros((block.shape[1], 3))
+                size = min(len(padded), len(below))
+                padded[:size] = below[:size]
+                ns = np.arange(a, min(top, a + len(block) - 1) + 1)
+                body.append(_float_settle(ns, (block @ padded)[: len(ns)]))
+        else:
+            rows = [_float_step(n, comb.float_weight_row(n), below) for n in range(2, top + 1)]
+            body.append(np.array(rows))
+        tables.append(np.concatenate([_float_leaves([0, f.evaluate((0,))])] + body))
     return tables
 
 
-def test_float_tables_and_laws_equal_a_row_by_row_loop():
-    reference = {f: _float_levels(f, 3, 500) for f in (S1, S1SQ)}
+def _float_laws(n, steps, by_block=True):
+    """The float law of magnitudes after each of ``steps`` forward steps from
+    δ_n, by one product per weight block at the block's full shape over
+    every row 2..n, or by adding x w(k, .) row by row."""
+    law, laws = np.zeros(n + 1), []
+    law[n] = 1.0
+    for _ in range(steps):
+        pushed = np.zeros((len(law) + 1) // 2)
+        if by_block:
+            pushed[0] = law[0] + law[1]
+            for a, block in comb.float_weight_blocks(2, len(law) - 1):
+                weights = np.zeros(len(block))
+                part = law[a : a + len(block)]
+                weights[: len(part)] = part
+                width = min(block.shape[1], len(pushed))
+                pushed[:width] += (weights @ block)[:width]
+        else:
+            for k, x in enumerate(law.tolist()):
+                if x:
+                    row = comb.float_weight_row(k)
+                    pushed[: len(row)] += x * row
+        law = pushed
+        laws.append(law)
+    return laws
+
+
+def _bits(table):
+    return np.ascontiguousarray(table).tobytes()
+
+
+def test_float_tables_and_laws_equal_the_block_product():
+    by_block = {f: _float_levels(f, 3, 500) for f in (S1, S1SQ)}
+    by_row = {f: _float_levels(f, 3, 500, by_block=False) for f in (S1, S1SQ)}
     cold, extended = ExpectationEngine(), ExpectationEngine()
     for f in (S1, S1SQ):
         cold.expectation_float(1000, 4, f)
@@ -164,22 +204,71 @@ def test_float_tables_and_laws_equal_a_row_by_row_loop():
         assert {(f, j) for _, f, j in tables} == {(f, j) for f in (S1, S1SQ) for j in (1, 2, 3)}
         for (_, f, j), table in tables.items():
             assert len(table) == 1000 // 2 ** (4 - j) + 1
-            assert np.array_equal(table, reference[f][j - 1][: len(table)]), (f.text, j)
+            assert _bits(table) == _bits(by_block[f][j - 1][: len(table)]), (f.text, j)
+            # The row-by-row sums lie within the carried bound of the table.
+            rows = by_row[f][j - 1][: len(table)]
+            assert (abs(table[:, 0] - rows[:, 0]) <= table[:, 2]).all(), (f.text, j)
 
-    law = np.zeros(4001)
-    law[4000] = 1.0
-    for _ in range(2):
-        pushed = np.zeros((len(law) + 1) // 2)
-        for k, x in enumerate(law.tolist()):
-            if x:
-                row = comb.float_weight_row(k)
-                pushed[: len(row)] += x * row
-        law = pushed
-    expected = {s: x for s, x in enumerate(law.tolist()) if x}
+    laws = _float_laws(4000, 2)
+    expected = {s: x for s, x in enumerate(laws[-1].tolist()) if x}
     assert ExpectationEngine().distribution(4000, 3, "float") == expected
     warm = ExpectationEngine()
     warm.distribution(4000, 2, "float")
     assert warm.distribution(4000, 3, "float") == expected
+    # Row by row: the same laws up to the summation order. Each pushed
+    # probability sums at most len(law) nonnegative terms, so two orders
+    # differ by at most 2 len(law) eps of it per step.
+    for law, loop in zip(laws, _float_laws(4000, 2, by_block=False)):
+        bound = 2 * 2 * 4001 * _EPS * loop + 2 * sys.float_info.min
+        assert (abs(law - loop) <= bound).all()
+
+
+def test_float_tables_do_not_depend_on_fill_history():
+    # Extensions that cross weight-block boundaries give the bits of one
+    # cold fill, at every level, for one-variable and split observables.
+    fs = [S1, S1SQ, RATIO]
+    cold, extended = ExpectationEngine(), ExpectationEngine()
+    for n in (300, 700, 1300, 2600, 4000):
+        for f in fs:
+            for r in (3, 4, 5):  # levels 2, 3 and 4 to n // 2
+                extended.expectation_float(n, r, f)
+                if n == 4000:
+                    cold.expectation_float(n, r, f)
+    keys = [key for key in cold._tables if key[0] is _FLOAT]
+    assert {(f, j) for _, f, j in keys} == {(f, j) for f in fs for j in (1, 2, 3, 4)}
+    assert set(keys) == {key for key in extended._tables if key[0] is _FLOAT}
+    for key in keys:
+        table = cold._tables[key]
+        assert len(table) == (2001 if key[2] > 1 else 1001), key[1:]
+        assert _bits(table) == _bits(extended._tables[key]), (key[1].text, key[2])
+
+    warm = ExpectationEngine()
+    warm.distribution(4000, 2, "float")
+    assert warm.distribution(4000, 3, "float") == ExpectationEngine().distribution(4000, 3, "float")
+    for steps in (1, 2):
+        law = warm._laws[_FLOAT, 4000, steps]
+        assert law == ExpectationEngine()._law(_FLOAT, 4000, steps), steps
+
+
+def test_float_fills_and_pushes_peak_within_a_few_blocks():
+    # The transient memory of a fill or a push is a few weight blocks, not
+    # a product over a whole level. A first query grows the module's
+    # log-gamma tables, which stay, so it runs before the measurement.
+    block_bytes = 8 * comb.BLOCK_ENTRIES
+    ExpectationEngine().expectation_float(10000, 3, S1)
+    queries = [
+        lambda: ExpectationEngine().expectation_float(10000, 3, S1),
+        lambda: ExpectationEngine().distribution(4000, 3, "float"),
+    ]
+    for query in queries:
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            query()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 6 * block_bytes, peak - start
 
 
 def test_bruteforce_examples(engine):
