@@ -421,7 +421,8 @@ def cmd_verify(args) -> int:
 
 def _environment() -> dict:
     """What a verify run ran on: the Python and numpy versions, whether numba
-    is installed, the core count and the engine's limits."""
+    is installed, the core count and the limits: the engine's, and the
+    exact ceiling of the verify checks."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -429,6 +430,7 @@ def _environment() -> dict:
         "cpu_count": os.cpu_count(),
         "limits": {
             "DEFAULT_EXACT_LIMIT": DEFAULT_EXACT_LIMIT,
+            "VERIFY_EXACT_LIMIT": verification.VERIFY_EXACT_LIMIT,
             "ORACLE_LIMIT": ORACLE_LIMIT,
             "UNRANK_LIMIT": sampling.UNRANK_LIMIT,
             "BLOCK_ENTRIES": comb.BLOCK_ENTRIES,

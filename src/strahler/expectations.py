@@ -47,10 +47,11 @@ The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
 whenever f is integer-valued, divided by c_{n-1} once per answer or table.
 Float mode uses the log-gamma rows w(n, m) and carries a first-order
-absolute error bound alongside every value. Exact mode steps one row at a
-time; float mode fills a level >= 2 and pushes a law by one matrix product
-per block of a fixed partition of the magnitudes (``comb.float_weight_blocks``),
-taken at the block's full shape, and a query's own entry by one row's dot.
+absolute error bound alongside every value. Every table fill is ``steps``
+over its range (at order 1 of a split f, once per part): a row and a dot per
+entry when exact, and in float mode, as for a pushed law, one matrix product
+per block of a fixed partition of the magnitudes (``comb.float_weight_blocks``)
+at the block's full shape. A query's own entry is one row's dot (``step``).
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -122,15 +123,14 @@ class _Arithmetic(NamedTuple):
     An exact table entry is an int count, or a Fraction for a rational f;
     a float entry is (value, |value|, absolute error bound), so one kernel
     product yields the sum, its absolute mass and the propagated error.
+    Every table fill is ``steps``; a query's own entry is one row's dot.
     """
 
     name: str  # "exact" or "float"
-    row: Callable  # n -> K(n, .)
-    rows: Callable  # (lo, hi) -> (n, K(n, .)) for n = lo..hi >= 2, ascending
     scale: Callable  # m -> level-1 factor: c_{m-1} for counts, 1 for probabilities
     leaves: Callable  # scaled observable values -> table rows
     pack: Callable  # table entries -> table rows
-    step: Callable  # (n, K(n, .), level below) -> table entry
+    step: Callable  # (n, level below) -> table entry K(n, .) . (level below)
     steps: Callable  # (lo, hi, level below) -> table rows of n = lo..hi >= 2
     push: Callable  # law -> the law one forward kernel step later
     combine: Callable  # (weights, scale, entries) -> sum of weights * entries / scale
@@ -230,8 +230,15 @@ class ExpectationEngine:
         if start <= top and j > 1:
             fresh.append(arith.steps(start, top, below))
         elif start <= top:
-            rows = arith.rows(start, top)
-            fresh.append(arith.pack([self._entry(arith, f, 1, m, below, row) for m, row in rows]))
+            # Order 1 of a several-variable f: one block step per part over
+            # the range, combined magnitude by magnitude. A part's rows turn
+            # into Python values one magnitude at a time, so a fill never
+            # holds all of them as lists.
+            parts = [arith.steps(start, top, part) for part in below or ()]
+            fresh.append(arith.pack([
+                self._first(arith, f, n, [part[i : i + 1].tolist()[0] for part in parts])
+                for i, n in enumerate(range(start, top + 1))
+            ]))
         table = np.concatenate(([] if done == 0 else [table]) + fresh)
         self._tables[key] = table
         return table
@@ -255,26 +262,26 @@ class ExpectationEngine:
             self._splits[f] = split_first(f)
         return self._splits[f]
 
-    def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below, row=None):
-        """The entry V_j(n) of f, given ``_below`` and, if the caller has it,
-        the row K(n, .). A magnitude below 2, or order 1 of a one-variable f,
-        is f at its window; every other entry is one kernel step K(n, .) .
-        (level below). At order 1 of f = sum_a S1^a c_a P_a(S2, ...) / Q(S1)
-        that is sum_a c_a n^a / Q(n) times the step over each part's level 1,
-        the order-2 entry of P_a at n, when no divisor of f is zero at n;
-        otherwise, and for an f that does not split, it is the step over f
-        with its first variable bound to n."""
+    def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below):
+        """The entry V_j(n) of f, given ``_below``: f at its window below
+        magnitude 2 and at order 1 of a one-variable f, ``_first`` of a step
+        over each part at order 1 of several variables, else one step."""
         if n < 2 or (j == 1 and f.arity == 1):
             return arith.leaves([_window_value(arith, f, j, n)]).tolist()[0]
-        if row is None:
-            row = arith.row(n)
         if j == 1:
-            weights = below and self._split(f).weights(n)
-            if weights:
-                parts = [arith.step(n, row, part) for part in below]
-                return arith.combine(*weights, parts)
-            below = self._level(arith, f.bind_first(n), 1, n // 2)
-        return arith.step(n, row, below)
+            return self._first(arith, f, n, (arith.step(n, part) for part in below or ()))
+        return arith.step(n, below)
+
+    def _first(self, arith: _Arithmetic, f: Observable, n: int, parts):
+        """The order-1 entry at n >= 2 of f = sum_a S1^a c_a P_a(S2, ...) /
+        Q(S1), given its parts' order-2 entries at n: sum_a c_a n^a / Q(n)
+        times P_a's. Where a divisor is zero at n, or f does not split, it is
+        one step over f with S1 bound to n, and ``parts`` is not read."""
+        split = self._split(f)
+        weights = split and split.weights(n)
+        if weights:
+            return arith.combine(*weights, list(parts))
+        return arith.step(n, self._level(arith, f.bind_first(n), 1, n // 2))
 
     def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
         """E_n[f at base r >= 2] for a polynomial f of the given degree >= 1,
@@ -436,21 +443,19 @@ def _float_combine(weights: list, scale: int, entries: list) -> tuple:
     return total, abs(total), error + mass * (len(entries) + 2) * _EPS
 
 
-def _exact_rows(lo: int, hi: int):
-    """(n, multiplicity_row(n)) for n = lo..hi; exact rows come one at a time."""
-    return ((n, comb.multiplicity_row(n)) for n in range(lo, hi + 1))
+def _exact_step(n: int, below: np.ndarray):
+    return comb.multiplicity_row(n) @ below[: n // 2 + 1]
 
 
 def _exact_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
-    return np.array([row @ below[: len(row)] for _, row in _exact_rows(lo, hi)], dtype=object)
+    return np.array([_exact_step(n, below) for n in range(lo, hi + 1)], dtype=object)
 
 
 def _exact_push(law: list) -> list:
     pushed = np.zeros((len(law) + 1) // 2, dtype=object)
-    support = [k for k, x in enumerate(law) if x]
-    for k, row in _exact_rows(support[0], support[-1]):
-        x = law[k]
+    for k, x in enumerate(law):
         if x:
+            row = comb.multiplicity_row(k)
             pushed[: len(row)] += x * row
     return pushed.tolist()
 
@@ -468,10 +473,10 @@ def _float_settle(ns: np.ndarray, dots: np.ndarray) -> np.ndarray:
     return np.column_stack((total, np.abs(total), error + mass * _step_error(ns)))
 
 
-def _float_step(n: int, row: np.ndarray, below: np.ndarray) -> tuple:
-    """The entry w(n, .) @ below of one magnitude, settled as a block's rows
-    are."""
-    total, mass, error = (row @ below[: len(row)]).tolist()
+def _float_step(n: int, below: np.ndarray) -> tuple:
+    """The entry w(n, .) @ below of one magnitude, by one row's dot, settled
+    as a block's rows are."""
+    total, mass, error = (comb.float_weight_row(n) @ below[: n // 2 + 1]).tolist()
     return total, abs(total), error + mass * float(_step_error(n))
 
 
@@ -488,13 +493,6 @@ def _weight_error(n):
     """Relative error allowed each entry of the log-gamma row w(n, .), for a
     magnitude or an array of them."""
     return 8 * _EPS * np.maximum(1.0, 2 * n * np.log1p(2 * n))
-
-
-def _float_rows(lo: int, hi: int):
-    """(n, w(n, .)) for n = lo..hi >= 2, views into the weight blocks."""
-    for a, block in comb.float_weight_blocks(lo, hi):
-        for n in range(max(lo, a), min(hi, a + len(block) - 1) + 1):
-            yield n, block[n - a, : n // 2 + 1]
 
 
 def _float_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
@@ -531,17 +529,15 @@ def _float_push(law: list) -> list:
     return pushed.tolist()
 
 
-# (name, row, rows, scale, leaves, pack, step, steps, push, combine, divide)
-# of each mode
+# (name, scale, leaves, pack, step, steps, push, combine, divide) of each mode
 _EXACT = _Arithmetic(
-    "exact", comb.multiplicity_row, _exact_rows, lambda m: comb.catalan(max(m - 1, 0)),
+    "exact", lambda m: comb.catalan(max(m - 1, 0)),
     lambda values: np.array([_integral(v) for v in values], dtype=object),
     lambda entries: np.array(entries, dtype=object),
-    lambda n, row, below: row @ below[: len(row)], _exact_steps, _exact_push,
-    _exact_combine, Fraction,
+    _exact_step, _exact_steps, _exact_push, _exact_combine, Fraction,
 )
 _FLOAT = _Arithmetic(
-    "float", comb.float_weight_row, _float_rows, lambda m: 1, _float_leaves,
+    "float", lambda m: 1, _float_leaves,
     lambda entries: np.array(entries, dtype=float).reshape(-1, 3),
     _float_step, _float_steps, _float_push, _float_combine, operator.truediv,
 )

@@ -23,12 +23,10 @@ parallel or chunked execution reproduces the serial result bit for bit.
 
 Neither path builds a tree for a profile. The unrank path folds the rank
 descent straight into branch counts (``trees.unrank_profile``). The cycle
-path folds the word over plain ints, from its end: a leaf pushes order 1,
-and a split pops its children's orders a and b and pushes their node
-order, counting one order-(a+1) branch where a == b, so the profile is
-(n, joins at order 2, joins at order 3, ...). ``sample_uniform`` alone
-needs the tree: it maps the same word to ``trees._SPLIT`` markers and
-leaves and builds it with ``trees._assemble``.
+path folds the word over plain ints with ``trees._word_profile``, the fold
+that ``trees.branch_counts`` runs over a tree's own word. ``sample_uniform``
+alone needs the tree: it maps the same word to ``trees._SPLIT`` markers
+and leaves and builds it with ``trees._assemble``.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -124,23 +122,7 @@ def _sampled_profile(n: int, child_seed: int) -> trees_mod.BranchProfile:
     stream; neither path builds the tree."""
     if n <= UNRANK_LIMIT:
         return trees_mod.unrank_profile(n, _rank(n, child_seed))
-    # The order fold runs from the word's end, where each split follows its
-    # two subtrees; joins[o] counts the nodes whose children both have order
-    # o, and a root order is at most n.bit_length().
-    joins = [0] * n.bit_length()
-    orders = []
-    for x in reversed(_cycle_word(n, child_seed)):
-        if x < 0:
-            orders.append(1)
-        else:
-            a = orders.pop()
-            b = orders[-1]
-            if a == b:
-                joins[a] += 1
-                orders[-1] = a + 1
-            elif a > b:
-                orders[-1] = a
-    return trees_mod.BranchProfile((n, *joins[1 : orders[0]]))
+    return trees_mod._word_profile(_cycle_word(n, child_seed))
 
 
 def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:

@@ -17,6 +17,8 @@ order o + 1 (Flajolet, Raoult & Vuillemin, 1979).
 One pre-order walk (``_preorder``) and one bottom-up fold over it
 (``_fold``) read every tree value, and one assembler (``_assemble``)
 builds every tree from a pre-order list of split markers and subtrees.
+Branch profiles of a tree and of a sampled pre-order word come from one
+integer fold over the word of splits (+1) and leaves (-1), ``_word_profile``.
 All are iterative, so deep (caterpillar-like) trees of any magnitude are
 safe regardless of the interpreter recursion limit.
 """
@@ -131,30 +133,37 @@ def root_order(t: Tree) -> int:
 
 
 def branch_counts(t: Tree) -> BranchProfile:
-    """Branch profile of ``t``.
+    """Branch profile of ``t``: the fold of its pre-order word."""
+    return _word_profile([-1 if v is None else 1 for v in _preorder(t)])
 
-    A node heads a branch exactly when it has no parent or its parent has a
-    different order, so one head per maximal order path. The fold of
-    ``root_order`` is written out here to count heads as it goes.
+
+def _word_profile(word: list) -> BranchProfile:
+    """Branch profile of the tree whose pre-order word is ``word``: +1 a
+    split, -1 a leaf.
+
+    The order fold runs from the word's end, where each split follows its
+    two subtrees: a leaf pushes order 1, and a split pops its children's
+    orders a and b and pushes their node order. A branch starts at each
+    leaf and at each node whose children share an order a, which heads an
+    order-(a+1) branch; so joins[o] counts those nodes, and the profile is
+    (n, joins at order 2, joins at order 3, ...) up to the root order, at
+    most n.bit_length().
     """
-    nodes = _preorder(t)
-    heads = [0] * (len(nodes) + 1).bit_length()  # heads[o] for o <= n.bit_length()
+    n = (len(word) + 1) // 2
+    joins = [0] * n.bit_length()
     orders = []
-    for v in reversed(nodes):
-        if v is None:
+    for x in reversed(word):
+        if x < 0:
             orders.append(1)
         else:
             a = orders.pop()
-            b = orders.pop()
-            o = _order(a, b)
-            if a != o:
-                heads[a] += 1
-            if b != o:
-                heads[b] += 1
-            orders.append(o)
-    root = orders[0]
-    heads[root] += 1
-    return BranchProfile(tuple(heads[1 : root + 1]))
+            b = orders[-1]
+            if a == b:
+                joins[a] += 1
+                orders[-1] = a + 1
+            elif a > b:
+                orders[-1] = a
+    return BranchProfile((n, *joins[1 : orders[0]]))
 
 
 def join(a: tuple, b: tuple) -> tuple:

@@ -35,6 +35,9 @@ RATIO_IDENTITY_GRID = (200, 500, 1000)
 VARIANCE_GRID = (50, 100, 150, 200, 250, 300)
 EXPANSION_SAMPLE_NS = tuple(range(2, 97, 5)) + (100,)
 SAMPLER_SEED = 42
+# The exact ceiling of run_all's engine: the ratio-identity check is exact at
+# magnitude 1000.
+VERIFY_EXACT_LIMIT = 1000
 SAMPLER_TRIALS = 100_000
 
 
@@ -354,7 +357,7 @@ def run_all(
 ) -> list:
     """Run the named checks (default: all ten) and return their results."""
     if engine is None:
-        engine = ExpectationEngine(exact_limit=1000)
+        engine = ExpectationEngine(exact_limit=VERIFY_EXACT_LIMIT)
     results = []
     for name in names or CHECKS:
         if name not in CHECKS:

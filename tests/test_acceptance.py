@@ -25,7 +25,7 @@ CRITERIA = list(enumerate(verification.CHECKS, start=1))
 @pytest.fixture(scope="module")
 def engine():
     # Criterion 7 needs exact arithmetic at magnitude 1000.
-    return ExpectationEngine(exact_limit=1000)
+    return ExpectationEngine(exact_limit=verification.VERIFY_EXACT_LIMIT)
 
 
 @pytest.mark.parametrize("number,name", CRITERIA, ids=[name for _, name in CRITERIA])

@@ -716,6 +716,7 @@ def test_verify_json_records_its_environment(capsys):
         "cpu_count": os.cpu_count(),
         "limits": {
             "DEFAULT_EXACT_LIMIT": 300,
+            "VERIFY_EXACT_LIMIT": 1000,
             "ORACLE_LIMIT": 40,
             "UNRANK_LIMIT": 64,
             "BLOCK_ENTRIES": 1 << 15,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from strahler import combinatorics as comb
-from strahler import observables, split
+from strahler import expectations, observables, split
 from strahler import trees
 from strahler.expectations import (
     _EXACT,
@@ -19,6 +19,7 @@ from strahler.expectations import (
     ExpectationEngine,
     LimitExceededError,
     _EPS,
+    _float_combine,
     _float_leaves,
     _float_settle,
     _float_step,
@@ -155,7 +156,7 @@ def _float_levels(f, levels, top, by_block=True):
                 ns = np.arange(a, min(top, a + len(block) - 1) + 1)
                 body.append(_float_settle(ns, (block @ padded)[: len(ns)]))
         else:
-            rows = [_float_step(n, comb.float_weight_row(n), below) for n in range(2, top + 1)]
+            rows = [_float_step(n, below) for n in range(2, top + 1)]
             body.append(np.array(rows))
         tables.append(np.concatenate([_float_leaves([0, f.evaluate((0,))])] + body))
     return tables
@@ -250,6 +251,36 @@ def test_float_tables_do_not_depend_on_fill_history():
         assert law == ExpectationEngine()._law(_FLOAT, 4000, steps), steps
 
 
+def test_split_order_1_fills_take_the_block_step(monkeypatch):
+    # The float order-1 table of a split f is, magnitude by magnitude, the
+    # combination of its parts' order-2 entries, which block products fill:
+    # the bits do not depend on which table a part's step fills.
+    engine = ExpectationEngine()
+    for f in (RATIO, parse("S1*S2-S3")):
+        engine.expectation_float(3000, 2, f)
+        table = engine._tables[_FLOAT, f, 1]
+        assert len(table) == 1501
+        split_f = engine._split(f)
+        parts = [engine._level(_FLOAT, part, 2, 1500) for part in split_f.parts]
+        combined = [
+            _float_combine(*split_f.weights(n), [part[n].tolist() for part in parts])
+            for n in range(2, 1501)
+        ]
+        assert _bits(table[2:]) == _bits(np.array(combined)), f.text
+
+    # A fill makes no per-entry step; a cold query steps once, for its own entry.
+    calls = []
+    step = _FLOAT.step
+
+    def counting(n, *args):
+        calls.append(n)
+        return step(n, *args)
+
+    monkeypatch.setattr(expectations, "_FLOAT", _FLOAT._replace(step=counting))
+    ExpectationEngine().expectation_float(3000, 2, RATIO)
+    assert calls == [3000]
+
+
 def test_float_fills_and_pushes_peak_within_a_few_blocks():
     # The transient memory of a fill or a push is a few weight blocks, not
     # a product over a whole level. A first query grows the module's
@@ -259,6 +290,7 @@ def test_float_fills_and_pushes_peak_within_a_few_blocks():
     queries = [
         lambda: ExpectationEngine().expectation_float(10000, 3, S1),
         lambda: ExpectationEngine().distribution(4000, 3, "float"),
+        lambda: ExpectationEngine().expectation_float(10000, 2, RATIO),
     ]
     for query in queries:
         tracemalloc.start()
