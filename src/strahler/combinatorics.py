@@ -23,11 +23,20 @@ BLOCK_ENTRIES = 1 << 15
 # Incrementally grown Catalan cache; list index i holds c_i.
 _catalan_cache: list[int] = [1]
 
-# lgamma(k) at index k >= 1 (index 0 is unused), and k * log 2 at index k,
-# grown together on demand. Growth assigns longer arrays and never writes
-# into one, so a row being built from the old tables stays valid.
+# The log-gamma terms of the weights, grown together on demand: lgamma(i)
+# at index i >= 1 (index 0 is unused) and, to half its length, the row term
+# R(n) at index n >= 2, the column term C(m) at index m >= 1 and the
+# diagonal term D(q) at index _DIAG_PAD + q for q >= 0, behind _DIAG_PAD
+# slots of -inf for q < 0 (see ``_weight_block``). A block of k rows a..b
+# reads q down to a - 2 width >= -(k + 3), and k <= sqrt(2 BLOCK_ENTRIES).
+# Growth assigns longer arrays and never writes into one, so a row being
+# built from the old tables stays valid.
+_DIAG_PAD = math.isqrt(2 * BLOCK_ENTRIES) + 4
 _lgamma_table = np.array([math.inf, 0.0])
-_q_log2_table = np.arange(2) * _LOG2
+_row_table = _column_table = _diagonal_table = np.empty(0)
+
+# Just below ln 2^-1075 = -745.13..., under which exp rounds to 0.0 in float64.
+_LOG_UNDERFLOW = -745.2
 
 
 def catalan(i: int) -> int:
@@ -85,15 +94,24 @@ def multiplicity_row(n: int) -> np.ndarray:
 
 
 def _log_tables(k: int) -> tuple:
-    """(lgamma(i), i * log 2) tables holding index i for at least i <= k."""
-    global _lgamma_table, _q_log2_table
-    table = _lgamma_table
-    if len(table) <= k:
-        new = range(len(table), max(k + 1, 2 * len(table)))
-        table = np.concatenate((table, [math.lgamma(i) for i in new]))
+    """The (row, column, diagonal) tables, each holding n, m and q for at
+    least n, m, q <= k."""
+    global _lgamma_table, _row_table, _column_table, _diagonal_table
+    if len(_row_table) <= k:
+        table = _lgamma_table
+        new = range(len(table), max(2 * k + 2, 2 * len(table)))
+        table = np.concatenate((table, np.fromiter(map(math.lgamma, new), float, len(new))))
+        half = len(table) // 2
+        ns = np.arange(2, half)
+        rows = ((table[ns + 1] - table[2 * ns - 1]) + table[ns]) + table[ns - 1]
+        _column_table = table[1 : half + 1] + table[:half]
+        diagonals = np.full(_DIAG_PAD + half, -math.inf)
+        np.multiply(np.arange(half), _LOG2, out=diagonals[_DIAG_PAD:])
+        np.subtract(diagonals[_DIAG_PAD:], table[1 : half + 1], out=diagonals[_DIAG_PAD:])
+        _diagonal_table = diagonals
         _lgamma_table = table
-        _q_log2_table = np.arange(len(table)) * _LOG2
-    return table, _q_log2_table
+        _row_table = np.concatenate(([math.nan] * 2, rows))
+    return _row_table, _column_table, _diagonal_table
 
 
 def float_weight_row(n: int) -> np.ndarray:
@@ -106,9 +124,12 @@ def float_weight_row(n: int) -> np.ndarray:
     Below magnitude 2 the row is δ_0: a single leaf has no second-order
     branch, and magnitude 0, above the root order, stays put. The row is the
     one-row case of ``_weight_block``, with the bits of row n of its block in
-    ``float_weight_blocks``. Relative error is a small multiple of the largest
-    lgamma magnitude times machine epsilon (within 1e-12 for n up to a few
-    hundred).
+    ``float_weight_blocks``: (D(q) + R(n)) - C(m) from one log-gamma term per
+    diagonal q = n - 2m, row and column, and its exp where that does not
+    underflow. Relative error is within ``expectations._weight_error(n)``, a
+    small multiple of the largest lgamma magnitude times machine epsilon
+    (within 1e-12 for n up to a few hundred), wherever the weight is a
+    normal float; a weight whose exp rounds to zero is an exact zero.
     """
     if n < 2:
         return np.ones(1)
@@ -162,53 +183,38 @@ def _weight_block(a: int, b: int, width: int, flat: np.ndarray):
     1 + (b - a + 1) * width for an even width > b//2: row n starts at
     flat[(n - a) * width] with its m = 0 entry.
 
-    Entry m = 1 .. n//2 of row n, q = n - 2m, is the exp of
-    lgamma(n-1) + q log 2 - lgamma(q+1) - lgamma(m+1) - lgamma(m)
-    + lgamma(n+1) + lgamma(n) - lgamma(2n-1), the log of
-    multiplicity(n, m) c_{m-1} / c_{n-1}, added left to right, so an entry
-    has the same bits whichever block builds it. The logs fill a contiguous
-    (rows, width) array over m = 1 .. width, behind one leading slot. Along
-    the rows of one parity of n, the q terms are constant on diagonals, so
-    each parity reads them through Toeplitz views of q log 2 and
-    lgamma(q + 1) gathered once per block; past m = n//2, where q < 0, those
-    read 0 and +inf, so the entries there are exact zeros. Since width >
-    b//2, the last entry of each row is such a zero and doubles as the m = 0
-    entry of the next row. The width is even, so a row starts 16-byte
+    Entry m = 1 .. n//2 of row n, q = n - 2m, is the exp of the log of
+    multiplicity(n, m) c_{m-1} / c_{n-1}, (D(q) + R(n)) - C(m), from one
+    log-gamma term per diagonal, row and column, each summed once where it
+    varies, in the shared tables of ``_log_tables``:
+    D(q) = q log 2 - lgamma(q+1), R(n) = ((lgamma(n+1) - lgamma(2n-1)) +
+    lgamma(n)) + lgamma(n-1), in this order so that partial sums stay
+    small, and C(m) = lgamma(m+1) + lgamma(m). An entry is an elementwise
+    function of (n, m), so it has the same bits whichever block builds it.
+    The logs fill a contiguous (rows, width) array over m = 1 .. width,
+    behind one leading slot, in two full-size passes; the diagonal terms
+    are one strided view of the diagonal table, whose -inf padding stands
+    for q < 0, past m = n//2. The exp is taken only where the log is at
+    least ``_LOG_UNDERFLOW``, and every other entry is written as 0.0,
+    which is what the exp would round it to at many times the cost. Since
+    width > b//2, the last entry of each row is a zero and doubles as the
+    m = 0 entry of the next row. The width is even, so a row starts 16-byte
     aligned where flat does.
     """
-    lgammas, q_log2 = _log_tables(max(2 * b, width + 1))
-    ns = np.arange(a, b + 1)
-    flat[0] = -math.inf  # w(a, 0) = 0
-    logs = flat[1:].reshape(len(ns), width)
-    for first in range(a, min(a + 1, b) + 1):
-        rows = logs[first - a :: 2]
-        count = len(rows)
-        last = first + 2 * (count - 1)
-        # Diagonal u holds q = last - 2 - 2u; row i, column c reads
-        # diagonal count - 1 - i + c.
-        valid, pad = last // 2, count + width - 1 - last // 2
-        q_terms = np.concatenate((q_log2[last - 2 :: -2][:valid], np.zeros(pad)))
-        q_facts = np.concatenate((lgammas[last - 1 :: -2][:valid], np.full(pad, math.inf)))
-        np.add(lgammas[ns[first - a :: 2] - 1, None], _toeplitz(q_terms, count), out=rows)
-        np.subtract(rows, _toeplitz(q_facts, count), out=rows)
-    np.subtract(logs, lgammas[2 : width + 2], out=logs)
-    np.subtract(logs, lgammas[1 : width + 1], out=logs)
-    np.add(logs, lgammas[ns + 1, None], out=logs)
-    np.add(logs, lgammas[ns, None], out=logs)
-    np.subtract(logs, lgammas[2 * ns - 1, None], out=logs)
-    np.exp(flat, out=flat)
-
-
-def _toeplitz(diagonals: np.ndarray, count: int) -> np.ndarray:
-    """The (count, len(diagonals) - count + 1) view whose entry (i, c) is
-    diagonals[count - 1 - i + c]."""
-    return np.ndarray(
-        (count, len(diagonals) - count + 1),
-        diagonals.dtype,
-        diagonals,
-        (count - 1) * diagonals.itemsize,
-        (-diagonals.itemsize, diagonals.itemsize),
+    rows, columns, diagonals = _log_tables(max(b, width))
+    flat[0] = 0.0  # w(a, 0) = 0
+    logs = flat[1:].reshape(b - a + 1, width)
+    # Row n, column m = c + 1 reads q = n - 2 - 2c: the next row starts one
+    # diagonal later, the next column two diagonals earlier.
+    item = diagonals.itemsize
+    diagonal_view = np.ndarray(
+        logs.shape, float, diagonals, (_DIAG_PAD + a - 2) * item, (item, -2 * item)
     )
+    np.add(diagonal_view, rows[a : b + 1, None], out=logs)
+    np.subtract(logs, columns[1 : width + 1], out=logs)
+    kept = logs >= _LOG_UNDERFLOW
+    np.exp(logs, out=logs, where=kept)
+    np.copyto(logs, 0.0, where=np.logical_not(kept, out=kept))
 
 
 def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[int, float]:

@@ -47,11 +47,13 @@ The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
 whenever f is integer-valued, divided by c_{n-1} once per answer or table.
 Float mode uses the log-gamma rows w(n, m) and carries a first-order
-absolute error bound alongside every value. Every table fill is ``steps``
-over its range (at order 1 of a split f, once per part): a row and a dot per
-entry when exact, and in float mode, as for a pushed law, one matrix product
-per block of a fixed partition of the magnitudes (``comb.float_weight_blocks``)
-at the block's full shape. A query's own entry is one row's dot (``step``).
+absolute error bound alongside every value. Every table fill is one
+``steps`` sweep over its range, which at order 1 of a split f serves every
+part: a row and a dot per entry and table when exact, and in float mode, as
+for a pushed law, one matrix product per table and block of a fixed
+partition of the magnitudes (``comb.float_weight_blocks``) at the block's
+full shape, each row or block built once. A query's own entry is one row's
+dot (``step``).
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -131,7 +133,7 @@ class _Arithmetic(NamedTuple):
     leaves: Callable  # scaled observable values -> table rows
     pack: Callable  # table entries -> table rows
     step: Callable  # (n, level below) -> table entry K(n, .) . (level below)
-    steps: Callable  # (lo, hi, level below) -> table rows of n = lo..hi >= 2
+    steps: Callable  # (lo, hi, tables below) -> per table, its rows of n = lo..hi >= 2
     push: Callable  # law -> the law one forward kernel step later
     combine: Callable  # (weights, scale, entries) -> sum of weights * entries / scale
     divide: Callable  # (count, normaliser) -> answer
@@ -228,13 +230,13 @@ class ExpectationEngine:
         fresh = [arith.leaves(values)]
         start = max(done, last_leaf + 1)
         if start <= top and j > 1:
-            fresh.append(arith.steps(start, top, below))
+            fresh.append(arith.steps(start, top, [below])[0])
         elif start <= top:
-            # Order 1 of a several-variable f: one block step per part over
-            # the range, combined magnitude by magnitude. A part's rows turn
+            # Order 1 of a several-variable f: one sweep over the range steps
+            # every part, combined magnitude by magnitude. A part's rows turn
             # into Python values one magnitude at a time, so a fill never
             # holds all of them as lists.
-            parts = [arith.steps(start, top, part) for part in below or ()]
+            parts = arith.steps(start, top, below) if below else []
             fresh.append(arith.pack([
                 self._first(arith, f, n, [part[i : i + 1].tolist()[0] for part in parts])
                 for i, n in enumerate(range(start, top + 1))
@@ -447,8 +449,15 @@ def _exact_step(n: int, below: np.ndarray):
     return comb.multiplicity_row(n) @ below[: n // 2 + 1]
 
 
-def _exact_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
-    return np.array([_exact_step(n, below) for n in range(lo, hi + 1)], dtype=object)
+def _exact_steps(lo: int, hi: int, tables: list) -> list:
+    """Per table, the rows multiplicity_row(n) @ table of n = lo..hi >= 2,
+    each multiplicity row built once for every table."""
+    steps = [[] for _ in tables]
+    for n in range(lo, hi + 1):
+        row = comb.multiplicity_row(n)
+        for below, rows in zip(tables, steps):
+            rows.append(row @ below[: n // 2 + 1])
+    return [np.array(rows, dtype=object) for rows in steps]
 
 
 def _exact_push(law: list) -> list:
@@ -491,25 +500,42 @@ def _step_error(n):
 
 def _weight_error(n):
     """Relative error allowed each entry of the log-gamma row w(n, .), for a
-    magnitude or an array of them."""
+    magnitude or an array of them: 8 eps L, L = 2n log1p(2n).
+
+    The rounding count of ``comb._weight_block``'s order (D(q) + R(n)) -
+    C(m), with u = eps / 2, bounds each rounded value by its exact
+    magnitude; the difference is of second order. The seven log-gamma inputs have k log k summing to at most
+    3.5 L: lgamma(2n-1) at most L, the other three of R(n) 1.5 L, the one of
+    D(q) and the two of C(m) L/2 each. math.lgamma(k) is within
+    2.3 u k log k (measured against 120-bit values to k = 2 10^5), so they
+    add 8.05 u L. q log 2 adds 2u q log 2 <= 0.5 u L. The seven additions
+    round results of at most L (the first two partial sums of R(n)), L/2
+    (R(n), D(q) and C(m) each), L (D(q) + R(n)) and n log 4 <= L/2 (the
+    log, since w(n, m) >= 1 / c_{n-1}): 5 u L. The exp adds at most 2u. In
+    all 13.55 u L + 2u < 16 u L = 8 eps L, as L >= 4 log 5 > 6. Below
+    2^-1022 the exp rounds to within 2^-1075 absolute, not 2u relative, and
+    a weight whose exp underflows is an exact zero.
+    """
     return 8 * _EPS * np.maximum(1.0, 2 * n * np.log1p(2 * n))
 
 
-def _float_steps(lo: int, hi: int, below: np.ndarray) -> np.ndarray:
-    """The table rows w(n, .) @ below of n = lo..hi >= 2: one matrix product
-    per weight block (``comb.float_weight_blocks``), taken at the block's
-    full shape over below zero-padded to the block's width. The product's
-    summation order depends on its shape alone, so an entry has the same
-    bits whatever range fills it."""
-    fresh = []
+def _float_steps(lo: int, hi: int, tables: list) -> list:
+    """Per table, the rows w(n, .) @ table of n = lo..hi >= 2: one matrix
+    product per weight block (``comb.float_weight_blocks``), each block built
+    once for every table, taken at the block's full shape over the table
+    zero-padded to the block's width. The product's summation order depends
+    on its shape alone, so an entry has the same bits whatever range, and
+    whichever other tables, a sweep fills."""
+    steps = [[] for _ in tables]
     for a, block in comb.float_weight_blocks(lo, hi):
         rows, width = block.shape
         first, last = max(lo, a), min(hi, a + rows - 1)
-        padded = np.zeros((width, 3))
-        padded[: last // 2 + 1] = below[: last // 2 + 1]
-        dots = (block @ padded)[first - a : last - a + 1]
-        fresh.append(_float_settle(np.arange(first, last + 1), dots))
-    return np.concatenate(fresh)
+        ns = np.arange(first, last + 1)
+        for below, fresh in zip(tables, steps):
+            padded = np.zeros((width, 3))
+            padded[: last // 2 + 1] = below[: last // 2 + 1]
+            fresh.append(_float_settle(ns, (block @ padded)[first - a : last - a + 1]))
+    return [np.concatenate(fresh) for fresh in steps]
 
 
 def _float_push(law: list) -> list:

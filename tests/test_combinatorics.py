@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from strahler import combinatorics as comb
-from strahler.expectations import _weight_error
+from strahler.expectations import ExpectationEngine, _weight_error
 from strahler.trees import branch_counts, enumerate_trees
 
 
@@ -84,37 +84,42 @@ def test_float_weights_match_exact():
 
 def test_float_weight_row_within_the_engines_weight_error():
     # The float engine charges each log-gamma row entry this relative error;
-    # the check reaches magnitudes far past the exact ceiling.
-    for n in (2, 3, 17, 100, 1000, 3000):
+    # the check reaches magnitudes far past the exact ceiling, and rows whose
+    # tails underflow (n = 1100 and 4000). An entry is nonzero wherever the
+    # exact weight is at least 2^-1070, and zero wherever it is below 2^-1080.
+    for n in (2, 3, 17, 100, 1000, 1100, 3000, 4000):
         row = comb.float_weight_row(n)
         counts = comb.multiplicity_row(n)
         total = comb.catalan(n - 1)
         bound = Fraction(_weight_error(n))
         assert len(row) == n // 2 + 1 and row[0] == 0
         for m in range(1, n // 2 + 1):
-            exact = Fraction(counts[m] * comb.catalan(m - 1), total)
+            count = counts[m] * comb.catalan(m - 1)
+            exact = Fraction(count, total)
             if exact > Fraction(10) ** -250:
                 assert abs(Fraction(row[m]) - exact) <= bound * exact, (n, m)
+            if count << 1070 >= total:
+                assert row[m] > 0, (n, m)
+            if count << 1080 < total:
+                assert row[m] == 0, (n, m)
+    # Every weight that rounds to a nonzero float keeps its support row.
+    assert len(ExpectationEngine().distribution(10**4, 2, "float")) == 1901
 
 
 def test_float_weight_row_equals_the_gather_formula():
-    # The row reads strided slices of shared tables; the same expression,
-    # in the same operation order, over gathered indices gives the same bits.
+    # The row reads strided views of shared tables; the same terms, in the
+    # same operation order, over gathered indices give the same bits: one
+    # diagonal term D(q), one row term R(n) and one column term C(m), added
+    # as (D + R) - C. The row skips the exp where the log is below
+    # ln 2^-1075; a full exp gives the same zeros there.
     for n in [*range(2, 400), 999, 1000, 3001, 4000, 10**4]:
         lgammas = np.array([math.inf] + [math.lgamma(i) for i in range(1, n + 1)])
         ms = np.arange(1, n // 2 + 1)
         qs = n - 2 * ms
-        logs = (
-            math.lgamma(n - 1)
-            + qs * math.log(2.0)
-            - lgammas[qs + 1]
-            - lgammas[ms + 1]
-            - lgammas[ms]
-            + math.lgamma(n + 1)
-            + math.lgamma(n)
-            - math.lgamma(2 * n - 1)
-        )
-        gathered = np.concatenate(([0.0], np.exp(logs)))
+        diagonal = qs * math.log(2.0) - lgammas[qs + 1]
+        row = ((math.lgamma(n + 1) - math.lgamma(2 * n - 1)) + math.lgamma(n)) + math.lgamma(n - 1)
+        column = lgammas[ms + 1] + lgammas[ms]
+        gathered = np.concatenate(([0.0], np.exp((diagonal + row) - column)))
         assert np.array_equal(comb.float_weight_row(n), gathered), n
 
 
@@ -150,6 +155,24 @@ def test_float_weight_rows_equal_single_rows():
         assert filled == list(range(max(lo, 2), hi + 1)), (lo, hi)
     for n in (0, 1):  # δ_0 below magnitude 2, outside every block
         assert comb.float_weight_row(n).tolist() == [1.0]
+
+
+def test_cold_log_tables_cover_the_blocks_width(monkeypatch):
+    # A range that ends early in its block still builds rows of the block's
+    # full width, so tables grown from cold must reach that width, not
+    # only the range's last magnitude.
+    for lo, hi in ((2, 2), (2, 100), (300, 301), (1000, 1001), (4000, 4000)):
+        monkeypatch.setattr(comb, "_lgamma_table", np.array([math.inf, 0.0]))
+        for name in ("_row_table", "_column_table", "_diagonal_table"):
+            monkeypatch.setattr(comb, name, np.empty(0))
+        blocks = list(comb.float_weight_blocks(lo, hi))
+        row = comb.float_weight_row(hi)
+        monkeypatch.undo()
+        assert np.array_equal(row, comb.float_weight_row(hi)), (lo, hi)
+        for a, block in blocks:
+            for n in range(max(lo, a), min(hi, a + len(block) - 1) + 1):
+                single = comb.float_weight_row(n)
+                assert np.array_equal(block[n - a, : len(single)], single), (lo, hi, n)
 
 
 def test_weight_mode_validation():

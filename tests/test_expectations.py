@@ -23,6 +23,7 @@ from strahler.expectations import (
     _float_leaves,
     _float_settle,
     _float_step,
+    _float_steps,
 )
 from strahler.observables import NonzeroOverZeroError, Observable, parse
 from strahler.verification import HORTON_FLOAT_GRID, MOMENT_RATIO_GRID
@@ -279,6 +280,49 @@ def test_split_order_1_fills_take_the_block_step(monkeypatch):
     monkeypatch.setattr(expectations, "_FLOAT", _FLOAT._replace(step=counting))
     ExpectationEngine().expectation_float(3000, 2, RATIO)
     assert calls == [3000]
+
+
+def test_split_order_1_fills_build_each_block_once(monkeypatch):
+    # One sweep steps every part of a split f over a fill range, so a cold
+    # query builds each weight block, or each exact row, of a fill once: the
+    # part S2's order-1 table to n // 4 (its one part S1), the order-1 table
+    # of f to n // 2 (both parts) and the query's own row. The tables have
+    # the bits of one sweep per part.
+    f = parse("S1*S2-S3")
+    built, rows = [], []
+    weight_block, multiplicity_row = comb._weight_block, comb.multiplicity_row
+
+    def counting_block(a, b, *args):
+        built.append((a, b))
+        return weight_block(a, b, *args)
+
+    def counting_row(n):
+        rows.append(n)
+        return multiplicity_row(n)
+
+    expected = [
+        (max(2, a), min(hi, a + len(block) - 1))
+        for hi in (1000, 2000)
+        for a, block in comb.float_weight_blocks(2, hi)
+    ]
+    engine = ExpectationEngine()
+    with monkeypatch.context() as patch:
+        patch.setattr(comb, "_weight_block", counting_block)
+        patch.setattr(comb, "multiplicity_row", counting_row)
+        engine.expectation_float(4000, 2, f)
+        ExpectationEngine().expectation_exact(300, 2, f)
+    assert built == expected + [(4000, 4000)]
+    assert rows == [*range(2, 76), *range(2, 151), 300]
+
+    split_f = engine._split(f)
+    per_part = [
+        _float_steps(2, 2000, [engine._tables[_FLOAT, part, 1]])[0] for part in split_f.parts
+    ]
+    combined = [
+        _float_combine(*split_f.weights(n), [part[n - 2].tolist() for part in per_part])
+        for n in range(2, 2001)
+    ]
+    assert _bits(engine._tables[_FLOAT, f, 1][2:]) == _bits(np.array(combined))
 
 
 def test_float_fills_and_pushes_peak_within_a_few_blocks():
