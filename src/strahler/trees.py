@@ -17,10 +17,11 @@ order o + 1 (Flajolet, Raoult & Vuillemin, 1979).
 One pre-order walk (``_preorder``) and one bottom-up fold over it
 (``_fold``) read every tree value, and one assembler (``_assemble``)
 builds every tree from a pre-order list of split markers and subtrees.
-Branch profiles of a tree and of a sampled pre-order word come from one
-integer fold over the word of splits (+1) and leaves (-1), ``_word_profile``.
-All are iterative, so deep (caterpillar-like) trees of any magnitude are
-safe regardless of the interpreter recursion limit.
+``branch_counts`` folds a tree's pre-order nodes into orders over plain
+ints; the sampler reads its windows off a pre-order word by leaf removal
+instead (``sampling._sampled_window``). All are iterative, so deep
+(caterpillar-like) trees of any magnitude are safe regardless of the
+interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -133,27 +134,22 @@ def root_order(t: Tree) -> int:
 
 
 def branch_counts(t: Tree) -> BranchProfile:
-    """Branch profile of ``t``: the fold of its pre-order word."""
-    return _word_profile([-1 if v is None else 1 for v in _preorder(t)])
+    """Branch profile of ``t``: an order fold over its pre-order nodes.
 
-
-def _word_profile(word: list) -> BranchProfile:
-    """Branch profile of the tree whose pre-order word is ``word``: +1 a
-    split, -1 a leaf.
-
-    The order fold runs from the word's end, where each split follows its
-    two subtrees: a leaf pushes order 1, and a split pops its children's
-    orders a and b and pushes their node order. A branch starts at each
-    leaf and at each node whose children share an order a, which heads an
-    order-(a+1) branch; so joins[o] counts those nodes, and the profile is
-    (n, joins at order 2, joins at order 3, ...) up to the root order, at
-    most n.bit_length().
+    The fold runs from the end, where each node follows its two subtrees: a
+    leaf pushes order 1, and an internal node pops its children's orders a
+    and b and pushes their node order. A branch starts at each leaf and at
+    each node whose children share an order a, which heads an order-(a+1)
+    branch; so joins[o] counts those nodes, and the profile is (n, joins at
+    order 2, joins at order 3, ...) up to the root order, at most
+    n.bit_length().
     """
-    n = (len(word) + 1) // 2
+    nodes = _preorder(t)
+    n = (len(nodes) + 1) // 2
     joins = [0] * n.bit_length()
     orders = []
-    for x in reversed(word):
-        if x < 0:
+    for v in reversed(nodes):
+        if v is None:
             orders.append(1)
         else:
             a = orders.pop()

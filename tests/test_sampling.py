@@ -4,10 +4,11 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strahler import sampling, trees
+from strahler import sampling, transform, trees
 from strahler.observables import parse
 from strahler.verification import chi2_sf, chi_square_p_value
 
@@ -58,35 +59,81 @@ def test_cycle_lemma_one_valid_rotation(steps):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 2**128 - 1))
 def test_cycle_word_is_a_preorder_word(n, seed):
-    word = sampling._cycle_word(n, seed)
+    word = sampling._cycle_word(n, seed).tolist()
     assert sorted(word) == [-1] * n + [1] * (n - 1)
     assert _valid_word(word)
 
 
-def test_cycle_profile_matches_tree_core_branch_counts():
-    # The int order fold must agree with the independent branch counting on
-    # the tree assembled from the same word, above the unranking threshold.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 199).flatmap(
+        lambda k: st.permutations([1] * k + [-1] * (k + 1))
+    )
+)
+def test_phi_word_is_the_word_of_phi(steps):
+    # The word-level leaf removal against the paper's phi on the assembled
+    # tree, for every valid word of magnitude 2 to 200 (the rotation of the
+    # drawn steps that the cycle lemma picks).
+    sums = list(itertools.accumulate(steps))
+    k = sums.index(min(sums)) + 1
+    word = steps[k:] + steps[:k]
+    tree = trees._assemble([trees._SPLIT if x > 0 else trees.LEAF for x in word])
+    image = [-1 if v is None else 1 for v in trees._preorder(transform.phi(tree))]
+    array = np.array(word, dtype=np.int8)
+    assert sampling._phi_word(array).tolist() == image
+    assert sampling._cherries(array) == trees.branch_counts(tree).s(2)
+
+
+def test_phi_word_holds_heights_past_16_bits():
+    # A left spine of m splits, each with a cherry on its right and the last
+    # with a cherry on either side: the word climbs to height m + 1, past
+    # 2^16, where 16-bit heights of different levels would collide (a wrap
+    # below that only relabels the levels, and the grouping by height
+    # stands). phi keeps the spine and turns the cherries into leaves, a
+    # left comb of magnitude m + 1.
+    m = 2**16 + 10
+    word = [1] * m + [1, -1, -1] + [1, -1, -1] * m
+    image = sampling._phi_word(np.array(word, dtype=np.int8))
+    assert image.tolist() == [1] * m + [-1] * (m + 1)
+
+
+def test_sampled_window_matches_tree_branch_counts():
+    # The peeled word must agree with the order fold of branch_counts on the
+    # tree assembled from the same word, above the unranking threshold, at
+    # every base order up to two past the largest root order and every
+    # window width up to 3.
     for n in (65, 70, 150, 400, 1000, 4000):
         for seed in range(20 if n <= 400 else 3):
             s = seed * 31 + n
-            profile = sampling._sampled_profile(n, s)
-            assert trees.branch_counts(sampling.sample_uniform(n, s)) == profile
+            profile = trees.branch_counts(sampling.sample_uniform(n, s))
+            for r in range(1, n.bit_length() + 3):
+                for p in (1, 2, 3):
+                    assert sampling._sampled_window(n, s, r, p) == profile.window(r, p)
+    # One draw past 2^15, where the heights are 32-bit.
+    n, s = 40000, 17
+    profile = trees.branch_counts(sampling.sample_uniform(n, s))
+    assert sampling._sampled_window(n, s, 1, n.bit_length()) == profile.window(
+        1, n.bit_length()
+    )
 
 
 def test_sampled_profiles_build_no_tree(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("a sampled profile built a tree")
+        raise AssertionError("a sampled window built a tree")
 
-    expected = {
-        n: sampling.monte_carlo(sampling.SampleConfig(n=n, trials=30, seed=4, f=S1, r=2))
+    configs = [
+        sampling.SampleConfig(n=n, trials=30, seed=4, f=f, r=r)
         for n in (48, 200)
-    }
+        for r, f in ((2, S1), (3, parse("S1*S2-S3")))
+    ]
+    expected = [sampling.monte_carlo(cfg) for cfg in configs]
+    windows = [sampling._sampled_window(200, s, 1, 5) for s in range(10)]
     monkeypatch.setattr(trees, "unrank_tree", forbidden)
     monkeypatch.setattr(trees, "branch_counts", forbidden)
     monkeypatch.setattr(trees, "_assemble", forbidden)
-    for n, result in expected.items():
-        cfg = sampling.SampleConfig(n=n, trials=30, seed=4, f=S1, r=2)
-        assert sampling.monte_carlo(cfg) == result
+    monkeypatch.setattr(transform, "phi", forbidden)
+    assert [sampling.monte_carlo(cfg) for cfg in configs] == expected
+    assert [sampling._sampled_window(200, s, 1, 5) for s in range(10)] == windows
 
 
 def test_uniformity_chi_square_small_magnitudes():
@@ -202,6 +249,14 @@ def test_monte_carlo_rejects_undefined_observable():
     assert excinfo.value.window == (1, 0)
 
 
+def test_monte_carlo_rejects_undefined_observable_on_the_cycle_path():
+    # Order 9 is above any root order at n = 100, so every window is (0,).
+    cfg = sampling.SampleConfig(n=100, trials=3, seed=2, f=parse("1/S1"), r=9)
+    with pytest.raises(sampling.ProfileEvaluationError) as excinfo:
+        sampling.monte_carlo(cfg)
+    assert excinfo.value.window == (0,)
+
+
 # Seeded streams recorded with the cycle-lemma sampler (n > 64) and the
 # recursive unranking; both sampling paths must keep reproducing them.
 PINNED_PROFILES = [
@@ -228,8 +283,11 @@ PINNED_TREES = [
 
 @pytest.mark.parametrize("n,seed,trial,counts", PINNED_PROFILES)
 def test_sampled_profile_stream_is_pinned(n, seed, trial, counts):
-    profile = sampling._sampled_profile(n, sampling._child_seed(seed, trial))
-    assert profile.counts == counts
+    # A window one order past the root reads the whole profile and its end.
+    window = sampling._sampled_window(
+        n, sampling._child_seed(seed, trial), 1, len(counts) + 1
+    )
+    assert window == counts + (0,)
 
 
 @pytest.mark.parametrize("n,seed,digest", PINNED_TREES)
