@@ -22,16 +22,18 @@ inclusive ``cumsum``. Streams are therefore splittable per trial, and any
 parallel or chunked execution reproduces the serial result bit for bit.
 
 Neither path builds a tree for a Monte Carlo window (``_sampled_window``).
-The unrank path folds the rank descent straight into branch counts
-(``trees.unrank_profile``). The cycle path reads the window off the word by
-the paper's leaf-removal transform phi, which shifts every order down by
-one: S_(k+1)(T) = S_k(phi(T)). S_1 is n, and S_2 is the number of cherries,
+Both draw the tree's pre-order word as an int8 array (``_word``): the
+unrank path writes it from the rank descent (``trees.unrank_word``), the
+cycle path shuffles it. The window is read off the word by the paper's
+leaf-removal transform phi, which shifts every order down by one:
+S_(k+1)(T) = S_k(phi(T)). S_1 is n, and S_2 is the number of cherries,
 the +1 -1 -1 triples of the word. ``_phi_word`` maps the word of T to that
 of phi(T) in a few numpy passes, so S_(k+1) is the triple count of the
 level-k word, the word peeled k - 1 times; a window at orders r .. r + p - 1
 peels no further than level r + p - 2. ``sample_uniform`` alone needs the
-tree: it maps the same word to ``trees._SPLIT`` markers and leaves and
-builds it with ``trees._assemble``.
+tree: the unrank path builds it by ``trees.unrank_tree``, and the cycle
+path maps its word to ``trees._SPLIT`` markers and leaves and builds it
+with ``trees._assemble``.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -111,6 +113,15 @@ def _cycle_word(n: int, seed: int) -> np.ndarray:
     return np.concatenate((steps[k:], steps[:k]))
 
 
+def _word(n: int, seed: int) -> np.ndarray:
+    """Pre-order word of ``sample_uniform(n, seed)`` as an int8 array, drawn
+    from the same stream: the unranked tree's word up to ``UNRANK_LIMIT``,
+    the cycle-lemma word above."""
+    if n <= UNRANK_LIMIT:
+        return np.frombuffer(trees_mod.unrank_word(n, _rank(n, seed)), dtype=np.int8)
+    return _cycle_word(n, seed)
+
+
 # The peel counts on bytes and masks by int64 products and ``flatnonzero``,
 # not by int8 comparisons: it runs only numpy kernels the shuffle already
 # runs, besides its one argsort, as each new kernel maps about 64 KB more of
@@ -171,20 +182,18 @@ def sample_uniform(n: int, seed: int) -> trees_mod.Tree:
 
 def _sampled_window(n: int, seed: int, r: int, p: int) -> tuple:
     """Branch counts at orders r, ..., r + p - 1 of ``sample_uniform(n, seed)``,
-    from the same stream; neither path builds the tree.
+    from the same stream, without building the tree.
 
-    The cycle path peels the word by ``_phi_word``: the level-k word is that
-    of phi^(k-1) of the tree, so its magnitude is S_k and its cherry count
-    S_(k+1). It peels only to level r + p - 2, whose cherries give the last
-    count read, and stops early at a single leaf, above which every count
-    is 0.
+    The word of ``_word`` is peeled by ``_phi_word``: the level-k word is
+    that of phi^(k-1) of the tree, so its magnitude is S_k and its cherry
+    count S_(k+1). It peels only to level r + p - 2, whose cherries give the
+    last count read, and stops early at a single leaf, above which every
+    count is 0.
     """
-    if n <= UNRANK_LIMIT:
-        return trees_mod.unrank_profile(n, _rank(n, seed)).window(r, p)
     top = r + p - 1
     counts = [n]
     if top > 1:
-        word = _cycle_word(n, seed)
+        word = _word(n, seed)
         while len(counts) < top - 1 and len(word) > 1:
             word = _phi_word(word)
             counts.append((len(word) + 1) // 2)

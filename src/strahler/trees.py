@@ -19,9 +19,10 @@ One pre-order walk (``_preorder``) and one bottom-up fold over it
 builds every tree from a pre-order list of split markers and subtrees.
 ``branch_counts`` folds a tree's pre-order nodes into orders over plain
 ints; the sampler reads its windows off a pre-order word by leaf removal
-instead (``sampling._sampled_window``). All are iterative, so deep
-(caterpillar-like) trees of any magnitude are safe regardless of the
-interpreter recursion limit.
+instead (``sampling._sampled_window``), and ``unrank_word`` writes that
+word for a rank of the canonical enumeration without building the tree.
+All are iterative, so deep (caterpillar-like) trees of any magnitude are
+safe regardless of the interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -175,10 +176,10 @@ def join(a: tuple, b: tuple) -> tuple:
 #
 # Trees of magnitude n are ordered by left-subtree magnitude ascending, then
 # recursively by left rank, then right rank. ``_splits`` is that order, the
-# one place it is written: the shape table, the profile table and
+# one place it is written: the shape table, the word table and
 # enumerate_trees all read it, and unranking follows it, so
-# enumerate_trees(n)[i] == unrank_tree(n, i), and unrank_profile(n, i) is
-# that tree's branch profile.
+# enumerate_trees(n)[i] == unrank_tree(n, i), and unrank_word(n, i) is
+# that tree's pre-order word.
 
 
 def _splits(table: dict, k: int) -> Iterator[tuple]:
@@ -241,16 +242,16 @@ def _scan_blocks(c: tuple, m: int, rank: int) -> Tuple[int, int]:
         j += step
 
 
-def _descend(n: int, rank: int, levels) -> list:
+def _descend(n: int, rank: int, levels, split=_SPLIT) -> list:
     """Pre-order items of the tree at position ``rank`` of magnitude n.
 
-    Each item is a ``_SPLIT`` marker (an internal node whose left and then
-    right subtree follow) or ``table[m][r]``, the shape or the branch counts
-    of the subtree of magnitude m <= ``_UNRANK_TABLE_LIMIT`` at rank r;
-    ``levels(k)`` returns that table filled up to magnitude k. The two folds,
-    ``unrank_tree`` and ``unrank_profile``, describe the same tree:
+    Each item is ``split`` (an internal node whose left and then right
+    subtree follow) or ``table[m][r]``, the shape or the pre-order word of
+    the subtree of magnitude m <= ``_UNRANK_TABLE_LIMIT`` at rank r;
+    ``levels(k)`` returns that table filled up to magnitude k. The two
+    readers, ``unrank_tree`` and ``unrank_word``, describe the same tree:
     enumerate_trees(n)[rank] == unrank_tree(n, rank), and
-    unrank_profile(n, rank) == branch_counts(unrank_tree(n, rank)).
+    unrank_word(n, rank) is the pre-order word of that tree.
     """
     if n < 1:
         raise ValueError(f"magnitude must be >= 1, got {n}")
@@ -270,7 +271,7 @@ def _descend(n: int, rank: int, levels) -> list:
             continue
         j, rank = _scan_blocks(c, m, rank)
         rank, right_rank = divmod(rank, c[m - j - 1])
-        preorder.append(_SPLIT)
+        preorder.append(split)
         stack.append((m - j, right_rank))
         m = j  # the left subtree comes next, at the quotient rank
 
@@ -293,51 +294,24 @@ def _assemble(preorder: list) -> Tree:
     return built[0]
 
 
-def _fold_profile(preorder: list, size: int) -> Tuple[int, ...]:
-    """Branch counts of a pre-order list of ``_SPLIT`` markers and the
-    branch counts of whole subtrees, whose lengths are their root orders.
-
-    Branch counts add over subtrees, and a split adds a branch only where its
-    two subtree roots share an order o: it starts an order-(o+1) branch. So
-    the fold sums the subtrees' counts and joins root orders, nothing more.
-    ``size`` bounds the root order.
-    """
-    counts = [0] * size
-    orders = []
-    for item in reversed(preorder):
-        if item is _SPLIT:
-            a = orders.pop()
-            b = orders.pop()
-            if a == b:
-                counts[a] += 1
-                orders.append(a + 1)
-            else:
-                orders.append(a if a > b else b)
-        else:
-            for i, k in enumerate(item):
-                counts[i] += k
-            orders.append(len(item))
-    return tuple(counts[: orders[0]])
+# Pre-order words of every shape in _tree_lists, in the same places, as
+# bytes of int8 steps: 0x01 (+1) a split, 0xff (-1) a leaf.
+_SPLIT_STEP = b"\x01"
+_word_lists: dict[int, list] = {1: [b"\xff"]}
 
 
-# Branch counts of every shape in _tree_lists, in the same places: each
-# joined from the counts of its two subtrees.
-_profile_lists: dict[int, list] = {1: [(1,)]}
+def _all_words(n: int) -> dict:
+    """The table shapes' pre-order words by magnitude, filled up to magnitude n."""
+    for k in range(len(_word_lists) + 1, n + 1):
+        _word_lists[k] = [_SPLIT_STEP + a + b for a, b in _splits(_word_lists, k)]
+    return _word_lists
 
 
-def _all_profiles(n: int) -> dict:
-    """The table shapes' branch counts by magnitude, filled up to magnitude n."""
-    for k in range(len(_profile_lists) + 1, n + 1):
-        _profile_lists[k] = [join(a, b) for a, b in _splits(_profile_lists, k)]
-    return _profile_lists
-
-
-def unrank_profile(n: int, rank: int) -> BranchProfile:
-    """Branch profile of ``unrank_tree(n, rank)``, folded from the same
-    descent without building the tree."""
-    # A root order never exceeds floor(log2 n) + 1, the bit length of n.
-    preorder = _descend(n, rank, _all_profiles)
-    return BranchProfile(_fold_profile(preorder, n.bit_length()))
+def unrank_word(n: int, rank: int) -> bytes:
+    """Pre-order word of ``unrank_tree(n, rank)`` as bytes of int8 steps, +1
+    a split and -1 a leaf, written from the same descent without building
+    the tree."""
+    return b"".join(_descend(n, rank, _all_words, _SPLIT_STEP))
 
 
 # --- text codec -------------------------------------------------------------

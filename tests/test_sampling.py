@@ -57,9 +57,14 @@ def test_cycle_lemma_one_valid_rotation(steps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 300), st.integers(0, 2**128 - 1))
-def test_cycle_word_is_a_preorder_word(n, seed):
-    word = sampling._cycle_word(n, seed).tolist()
+@given(
+    st.sampled_from([sampling._cycle_word, sampling._word]),
+    st.integers(1, 300),
+    st.integers(0, 2**128 - 1),
+)
+def test_cycle_word_is_a_preorder_word(draw, n, seed):
+    # Both draws at every magnitude: ``_word`` unranks up to UNRANK_LIMIT.
+    word = draw(n, seed).tolist()
     assert sorted(word) == [-1] * n + [1] * (n - 1)
     assert _valid_word(word)
 
@@ -99,10 +104,11 @@ def test_phi_word_holds_heights_past_16_bits():
 
 def test_sampled_window_matches_tree_branch_counts():
     # The peeled word must agree with the order fold of branch_counts on the
-    # tree assembled from the same word, above the unranking threshold, at
-    # every base order up to two past the largest root order and every
-    # window width up to 3.
-    for n in (65, 70, 150, 400, 1000, 4000):
+    # tree sampled from the same stream, on both sides of the unranking
+    # threshold (a one-leaf word, table shapes, block-scanned ranks, 64 and
+    # 65), at every base order up to two past the largest root order and
+    # every window width up to 3.
+    for n in (1, 2, 3, 8, 9, 48, 64, 65, 70, 150, 400, 1000, 4000):
         for seed in range(20 if n <= 400 else 3):
             s = seed * 31 + n
             profile = trees.branch_counts(sampling.sample_uniform(n, s))

@@ -159,19 +159,29 @@ def test_unrank_matches_enumeration_order():
                 assert trees.unrank_tree(n, i) == t
 
 
-def test_unrank_profile_matches_branch_counts_of_unranked_trees():
+def _steps(word: bytes) -> list:
+    """The +1/-1 steps of a word of int8 bytes."""
+    return memoryview(word).cast("b").tolist()
+
+
+def _tree_steps(t) -> list:
+    """The pre-order word of ``t``: +1 a split, -1 a leaf."""
+    return [-1 if v is None else 1 for v in trees._preorder(t)]
+
+
+def test_unrank_word_is_the_preorder_word_of_unranked_trees():
     # Every rank up to magnitude 10, then seeded ranks at every magnitude
     # the sampler unranks.
     for n in range(1, 11):
         for k in range(comb.catalan(n - 1)):
-            assert trees.unrank_profile(n, k) == trees.branch_counts(trees.unrank_tree(n, k))
+            assert _steps(trees.unrank_word(n, k)) == _tree_steps(trees.unrank_tree(n, k))
     rng = random.Random(12)
     for n in range(11, 65):
         for _ in range(10):
             k = rng.randrange(comb.catalan(n - 1))
-            assert trees.unrank_profile(n, k) == trees.branch_counts(trees.unrank_tree(n, k))
-    n = 1500  # the deep caterpillar at rank 0
-    assert trees.unrank_profile(n, 0).counts == (n, 1)
+            assert _steps(trees.unrank_word(n, k)) == _tree_steps(trees.unrank_tree(n, k))
+    n = 1500  # the deep caterpillar at rank 0: a leaf, then the rest, at every split
+    assert _steps(trees.unrank_word(n, 0)) == [1, -1] * (n - 1) + [-1]
 
 
 def _spine(t, side):
@@ -212,11 +222,11 @@ def test_join_rule_by_hand():
     assert trees.join((4, 2, 1), (5, 2, 1)) == (9, 4, 2, 1)
 
 
-def test_profile_table_holds_branch_counts_of_table_shapes():
+def test_word_table_holds_preorder_words_of_table_shapes():
     shapes = trees._all_trees(8)
-    profiles = trees._all_profiles(8)
+    words = trees._all_words(8)
     for k in range(1, 9):
-        assert profiles[k] == [trees.branch_counts(t).counts for t in shapes[k]], k
+        assert [_steps(w) for w in words[k]] == [_tree_steps(t) for t in shapes[k]], k
 
 
 def test_profile_invariants_exhaustive():
