@@ -78,19 +78,31 @@ def multiplicity_row(n: int) -> np.ndarray:
     """multiplicity(n, m) over 0 <= m <= n//2 as an object array of ints.
 
     The counting twin of ``float_weight_row``, laid out the same way: m = 0
-    holds 0 for n >= 2, and below magnitude 2 the row is δ_0. Each entry
-    follows from the one before it, q = n - 2m going down by two, by the
-    ratio of consecutive terms: one small multiply and one exact divide per
-    entry instead of a fresh binomial.
+    holds 0 for n >= 2, and below magnitude 2 the row is δ_0. The entries
+    are those of ``scaled_multiplicities(n, 1)``.
+    """
+    return np.array(scaled_multiplicities(n, 1), dtype=object)
+
+
+def scaled_multiplicities(n: int, x: int) -> list:
+    """x * multiplicity(n, m) over 0 <= m <= n//2 as a list of ints, laid
+    out as ``multiplicity_row``: [x] below magnitude 2.
+
+    Each entry follows from the one before it, q = n - 2m going down by
+    two, by the ratio q(q-1) / (4(n-q)(n-q-1)) of consecutive terms: one
+    small multiply and one exact divide per entry instead of a fresh
+    binomial. The walk carries the factor x from its first term, x 2^(n-2),
+    and every divide is exact: the term times q(q-1) is the next term times
+    the divisor.
     """
     if n < 2:
-        return np.ones(1, dtype=object)
-    mu = 1 << (n - 2)
+        return [x]
+    term = x << (n - 2)
     row = [0]
     for q in range(n - 2, -1, -2):
-        row.append(mu)
-        mu = mu * q * (q - 1) // (4 * (n - q) * (n - q - 1))
-    return np.array(row, dtype=object)
+        row.append(term)
+        term = term * (q * (q - 1)) // (4 * (n - q) * (n - q - 1))
+    return row
 
 
 def _log_tables(k: int) -> tuple:

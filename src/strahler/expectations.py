@@ -37,7 +37,10 @@ independent oracle:
   on the kernel.
 * ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
   pushed law is memoised per (mode, n, step), so a higher order of the same
-  magnitude continues from the last law an earlier query left.
+  magnitude continues from the last law an earlier query left. An exact
+  step is plain int arithmetic on a list: each weighted magnitude k adds
+  its weight x times multiplicity(k, .), walked scaled by x
+  (``comb.scaled_multiplicities``, the walk behind ``multiplicity_row``).
 
 Every public query resolves its mode once, in ``_arithmetic``: auto is exact
 up to ``exact_limit`` and float past it, where it warns once, at the caller
@@ -461,12 +464,14 @@ def _exact_steps(lo: int, hi: int, tables: list) -> list:
 
 
 def _exact_push(law: list) -> list:
-    pushed = np.zeros((len(law) + 1) // 2, dtype=object)
+    """One forward step of an exact law, in ints: each weighted magnitude k
+    adds its weight x times multiplicity(k, .), walked scaled by x."""
+    pushed = [0] * ((len(law) + 1) // 2)
     for k, x in enumerate(law):
         if x:
-            row = comb.multiplicity_row(k)
-            pushed[: len(row)] += x * row
-    return pushed.tolist()
+            row = comb.scaled_multiplicities(k, x)
+            pushed[: len(row)] = map(operator.add, pushed, row)
+    return pushed
 
 
 def _float_leaves(values: list) -> np.ndarray:

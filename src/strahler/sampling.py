@@ -30,10 +30,12 @@ S_(k+1)(T) = S_k(phi(T)). S_1 is n, and S_2 is the number of cherries,
 the +1 -1 -1 triples of the word. ``_phi_word`` maps the word of T to that
 of phi(T) in a few numpy passes, so S_(k+1) is the triple count of the
 level-k word, the word peeled k - 1 times; a window at orders r .. r + p - 1
-peels no further than level r + p - 2. ``sample_uniform`` alone needs the
-tree: the unrank path builds it by ``trees.unrank_tree``, and the cycle
-path maps its word to ``trees._SPLIT`` markers and leaves and builds it
-with ``trees._assemble``.
+peels no further than level r + p - 2. A window whose top order is 2 on
+the cycle path reads the cherries off the shuffle itself, counted
+cyclically, which rotation does not change. ``sample_uniform`` alone
+needs the tree: the unrank path builds it by ``trees.unrank_tree``, and
+the cycle path maps its word to ``trees._SPLIT`` markers and leaves and
+builds it with ``trees._assemble``.
 
 ``monte_carlo`` aggregates sampled windows as a multiset and forms the
 mean and standard error exactly before the final float conversion, making
@@ -102,13 +104,19 @@ def _rank(n: int, seed: int) -> int:
     return random.Random(seed).randrange(catalan(n - 1))
 
 
+def _shuffle(n: int, seed: int) -> np.ndarray:
+    """The seeded shuffle of n - 1 splits (+1) and n leaves (-1), int8,
+    that ``_cycle_word`` rotates."""
+    steps = np.ones(2 * n - 1, dtype=np.int8)
+    steps[n - 1 :] = -1
+    return np.random.default_rng(seed).permutation(steps)
+
+
 def _cycle_word(n: int, seed: int) -> np.ndarray:
     """Pre-order word of one uniform tree of magnitude n, as an int8 array:
     +1 a split, -1 a leaf. A seeded shuffle of the steps, rotated to start
     just after the first minimum of its prefix sums (the cycle lemma)."""
-    steps = np.ones(2 * n - 1, dtype=np.int8)
-    steps[n - 1 :] = -1
-    steps = np.random.default_rng(seed).permutation(steps)
+    steps = _shuffle(n, seed)
     k = int(np.argmin(np.cumsum(steps))) + 1
     return np.concatenate((steps[k:], steps[:k]))
 
@@ -134,6 +142,17 @@ def _cherries(word: np.ndarray) -> int:
     left child is a leaf has its right child next, so each triple is a split
     over two leaves, and no two triples overlap."""
     return word.tobytes().count(_CHERRY)
+
+
+def _cyclic_cherries(steps: np.ndarray) -> int:
+    """Cherry count of the rotation ``_cycle_word`` makes of a shuffle of
+    at least two steps, read off the shuffle: its +1 -1 -1 triples read
+    cyclically. Rotation keeps the cyclic count, and a valid word ends in
+    two leaves, so the two triples that wrap around it are not cherries
+    and its cyclic count is its cherry count. No two cyclic triples
+    overlap, the two that wrap around the shuffle included."""
+    wrapped = steps[-2:].tobytes() + steps[:2].tobytes()
+    return steps.tobytes().count(_CHERRY) + wrapped.count(_CHERRY)
 
 
 def _phi_word(word: np.ndarray) -> np.ndarray:
@@ -188,18 +207,21 @@ def _sampled_window(n: int, seed: int, r: int, p: int) -> tuple:
     that of phi^(k-1) of the tree, so its magnitude is S_k and its cherry
     count S_(k+1). It peels only to level r + p - 2, whose cherries give the
     last count read, and stops early at a single leaf, above which every
-    count is 0.
+    count is 0. A window whose top order is 2 on the cycle path reads the
+    cherries off the shuffle without rotating it (``_cyclic_cherries``).
     """
     top = r + p - 1
     counts = [n]
-    if top > 1:
+    if top == 2 and n > UNRANK_LIMIT:
+        counts.append(_cyclic_cherries(_shuffle(n, seed)))
+    elif top > 1:
         word = _word(n, seed)
         while len(counts) < top - 1 and len(word) > 1:
             word = _phi_word(word)
             counts.append((len(word) + 1) // 2)
         counts.append(_cherries(word))
-    counts += [0] * (top - len(counts))
-    return tuple(counts[r - 1 : top])
+    window = counts[r - 1 : top]
+    return tuple(window + [0] * (p - len(window)))
 
 
 def monte_carlo(cfg: SampleConfig) -> MonteCarloResult:

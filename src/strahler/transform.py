@@ -18,10 +18,11 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from .trees import LEAF, Tree, _fold, branch_counts, magnitude
+from .trees import LEAF, Tree, _fold, _preorder, branch_counts, magnitude
 
 
 _GONE = object()  # the phi image of a leaf: the node is removed
+_CHERRY: Tree = (LEAF, LEAF)
 
 
 def _contract(left, right) -> Tree:
@@ -57,48 +58,60 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
         yield tuple(b - a - 1 for a, b in zip(bars, bars[1:]))
 
 
-def _build(tau: Tree, chain_lengths: tuple, sides: tuple) -> Tree:
-    """Assemble one preimage from a chain-length slot vector and a side word.
-
-    Slot i is the edge above the i-th node of ``tau`` in pre-order (slot 0
-    sits above the root). The side word is consumed in post-order of slots,
-    top chain link first within each slot; side 0 hangs the chain node's
-    leaf on the left. Any fixed consumption order enumerates the same set.
-    Iterative (explicit stack), so bases of any height are safe.
-    """
-    side_iter = iter(sides)
-    next_slot = 0
-    built: list = []  # finished subtrees, right sibling on top
-    stack: list = [(tau, -1)]  # (node, its slot, or -1 before it has one)
-    while stack:
-        node, slot = stack.pop()
-        if slot < 0:
-            slot = next_slot
-            next_slot += 1
-            if node is not None:
-                # Revisit after both children; the left one is numbered first.
-                stack.append((node, slot))
-                stack.append((node[1], -1))
-                stack.append((node[0], -1))
-                continue
-            core: Tree = (LEAF, LEAF)
-        else:
-            right = built.pop()
-            core = (built.pop(), right)
-        links = [next(side_iter) for _ in range(chain_lengths[slot])]
-        for side in reversed(links):
-            core = (LEAF, core) if side == 0 else (core, LEAF)
-        built.append(core)
-    return built[0]
+def _post_order(tau: Tree) -> list:
+    """(slot, whether a leaf) of every node of ``tau`` in post-order, where
+    slot i is the edge above the i-th node in pre-order (slot 0 sits above
+    the root). One pass over the pre-order: a leaf finishes at once, and an
+    internal node when its right subtree does."""
+    layout = []
+    pending = []  # open internal nodes: [slot, whether its left subtree is finished]
+    for slot, node in enumerate(_preorder(tau)):
+        if node is not None:
+            pending.append([slot, False])
+            continue
+        layout.append((slot, True))
+        while pending and pending[-1][1]:
+            layout.append((pending.pop()[0], False))
+        if pending:
+            pending[-1][1] = True
+    return layout
 
 
 def preimages(tau: Tree, n: int) -> Iterator[Tree]:
-    """Yield every magnitude-n tree T with phi(T) == tau, each exactly once."""
-    m = magnitude(tau)
+    """Yield every magnitude-n tree T with phi(T) == tau, each exactly once.
+
+    A preimage is fixed by a chain-length slot vector, one weak composition
+    of the n - 2m chain nodes over the slots of ``_post_order``, and a side
+    word. Each is built by one pass over the post-order layout, computed
+    once per call: a leaf of ``tau`` becomes a cherry and an internal node
+    joins the two subtrees built last, and then the chain of its slot wraps
+    it. The side word is consumed in post-order of slots, top chain link
+    first within each slot; side 0 hangs the chain node's leaf on the left.
+    Any fixed consumption order enumerates the same set. The order of the
+    compositions, and of the side words within each, is the yield order.
+    Iterative, so bases of any height are safe.
+    """
+    layout = _post_order(tau)
+    m = (len(layout) + 1) // 2
     if n < 2 * m:
         raise ValueError(f"target magnitude {n} cannot reach a base of magnitude {m}")
     chain_total = n - 2 * m
-    slots = 2 * m - 1
-    for chain_lengths in _compositions(chain_total, slots):
+    for chain_lengths in _compositions(chain_total, 2 * m - 1):
+        # Each node's links are one slice of the side word, in post-order.
+        spans = []
+        stop = 0
+        for slot, leaf in layout:
+            start, stop = stop, stop + chain_lengths[slot]
+            spans.append((leaf, start, stop))
         for sides in product((0, 1), repeat=chain_total):
-            yield _build(tau, chain_lengths, sides)
+            built: list = []  # finished subtrees, right sibling on top
+            for leaf, start, stop in spans:
+                if leaf:
+                    core: Tree = _CHERRY
+                else:
+                    right = built.pop()
+                    core = (built.pop(), right)
+                for side in reversed(sides[start:stop]):
+                    core = (LEAF, core) if side == 0 else (core, LEAF)
+                built.append(core)
+            yield built[0]

@@ -14,6 +14,7 @@ allows (see the horton-law and moment-ratio notes in the project README).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -320,16 +321,22 @@ def check_sampler(
 def check_distribution_normalization(
     engine: ExpectationEngine, max_n: Optional[int] = None, trials: int = SAMPLER_TRIALS
 ) -> tuple:
-    """10: exact distributions sum to one and their means match the engine."""
+    """10: exact distributions sum to one and their means match the engine.
+    Both sums are taken over one common denominator L, the lcm of the
+    probabilities' denominators: an integer sum of numerators scaled to L,
+    then one Fraction (Knuth, TAOCP vol. 2, §4.5.1)."""
     top = min(100, max_n or 100)
     s1 = parse("S1")
     failures = []
     for n in range(1, top + 1):
         for r in range(1, 6):
             dist = engine.distribution(n, r, mode="exact")
-            if sum(dist.values()) != 1:
-                failures.append(f"n={n} r={r}: probabilities sum to {sum(dist.values())}")
-            mean = sum(s * prob for s, prob in dist.items())
+            common = math.lcm(*(prob.denominator for prob in dist.values()))
+            scaled = [prob.numerator * (common // prob.denominator) for prob in dist.values()]
+            total = Fraction(sum(scaled), common)
+            if total != 1:
+                failures.append(f"n={n} r={r}: probabilities sum to {total}")
+            mean = Fraction(sum(map(operator.mul, dist, scaled)), common)
             if mean != engine.expectation_exact(n, r, s1):
                 failures.append(f"n={n} r={r}: distribution mean mismatch")
     return failures, f"exact normalization and mean identity for n <= {top}, r <= 5"

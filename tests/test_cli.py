@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strahler import cli, sampling, verification
+from strahler.expectations import ExpectationEngine
 from strahler.observables import Observable
 
 
@@ -327,6 +328,20 @@ def test_sample_reports_reference(capsys):
     assert row["mean"] == "1"
     assert row["stderr"] == "0"
     assert row["reference"] == "1"
+
+
+def test_sample_at_a_huge_base_order_answers_zero(capsys):
+    # Every order past the root's has count 0, as expect answers there.
+    huge = "99999999999999999"
+    code, out, _ = run_cli(
+        capsys, "sample", "--n", "65", "--r", huge, "--trials", "2", "--seed", "1"
+    )
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert (row["mean"], row["stderr"]) == ("0", "0")
+    code, expected, _ = run_cli(capsys, "expect", "--n", "65", "--r", huge)
+    assert code == 0
+    assert row["reference"] == parse_csv(expected)[0]["value_decimal"] == "0"
 
 
 def test_asympt_table(capsys):
@@ -747,3 +762,50 @@ def test_verify_subset_passes_cleanly():
         max_n=8, trials=500, names=["multiplicity", "expansion-reproduction"]
     )
     assert all(r.passed for r in results)
+
+
+def test_distribution_check_pins_its_passing_detail():
+    engine = ExpectationEngine(exact_limit=verification.VERIFY_EXACT_LIMIT)
+    for max_n in (None, 500):
+        failures, detail = verification.check_distribution_normalization(engine, max_n)
+        assert failures == []
+        assert detail == "exact normalization and mean identity for n <= 100, r <= 5"
+
+
+def _distribution_check_with(monkeypatch, corrupt):
+    """The distribution check's run_all detail at max_n = 12 when the law of
+    n = 10, r = 2 is replaced by ``corrupt(law)``."""
+    engine = ExpectationEngine(exact_limit=verification.VERIFY_EXACT_LIMIT)
+    distribution = engine.distribution
+
+    def patched(n, r, mode="exact"):
+        law = distribution(n, r, mode)
+        return corrupt(dict(law)) if (n, r) == (10, 2) else law
+
+    monkeypatch.setattr(engine, "distribution", patched)
+    (result,) = verification.run_all(engine, 12, 2, ["distribution-normalization"])
+    assert not result.passed
+    return result.detail
+
+
+def test_distribution_check_reports_a_wrong_sum(monkeypatch):
+    def perturb(law):
+        law[3] += Fraction(1, 1000)
+        return law
+
+    detail = _distribution_check_with(monkeypatch, perturb)
+    assert detail == (
+        "n=10 r=2: probabilities sum to 1001/1000; n=10 r=2: distribution mean mismatch"
+    )
+
+
+def test_distribution_check_reports_a_shifted_mean(monkeypatch):
+    def shift(law):
+        # One unit of mass 1/1000 moves from S2 = 2 to S2 = 3: the sum stays 1.
+        law[2] -= Fraction(1, 1000)
+        law[3] += Fraction(1, 1000)
+        return law
+
+    assert _distribution_check_with(monkeypatch, shift) == (
+        "n=10 r=2: distribution mean mismatch"
+    )

@@ -37,6 +37,15 @@ def test_multiplicities_row_matches_multiplicity():
     assert comb.multiplicity_row(1).tolist() == [1]  # δ_0, like float_weight_row
 
 
+def test_scaled_multiplicities_are_the_row_scaled():
+    # The one term walk behind multiplicity_row, carried scaled by x, as the
+    # exact forward push reads it.
+    for n in range(0, 301):
+        row = comb.multiplicity_row(n).tolist()
+        for x in (1, 2, 7, 3**40, 2**200 + 1):
+            assert comb.scaled_multiplicities(n, x) == [x * mu for mu in row], (n, x)
+
+
 def test_multiplicity_out_of_range_is_zero():
     assert comb.multiplicity(5, 3) == 0
     assert comb.multiplicity(7, 0) == 0

@@ -106,6 +106,14 @@ def test_exact_distribution_sums_to_one_at_400():
     assert sum(s * p for s, p in dist.items()) == engine.expectation_exact(400, 3, S1)
 
 
+def test_exact_distribution_sums_to_one_at_1000():
+    # Three integer pushes through rows of up to 501 scaled terms each.
+    engine = ExpectationEngine(exact_limit=1000)
+    dist = engine.distribution(1000, 4, "exact")
+    assert sum(dist.values()) == 1
+    assert sum(s * p for s, p in dist.items()) == engine.expectation_exact(1000, 4, S1)
+
+
 def test_answers_do_not_depend_on_query_order():
     queries = [
         (n, r, text)

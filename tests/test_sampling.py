@@ -123,6 +123,24 @@ def test_sampled_window_matches_tree_branch_counts():
     )
 
 
+def test_cyclic_cherry_count_equals_the_rotated_words():
+    # A window whose top order is 2 reads the shuffle without rotating it.
+    for n in (65, 100, 1000):
+        for seed in range(300):
+            cherries = sampling._cherries(sampling._cycle_word(n, seed))
+            assert sampling._cyclic_cherries(sampling._shuffle(n, seed)) == cherries
+            assert sampling._sampled_window(n, seed, 2, 1) == (cherries,)
+
+
+def test_sampled_window_at_a_huge_base_order_is_zero():
+    # Only the window's own p entries are padded, not every order below it.
+    for n in (1, 5, 48, 65, 1000):
+        for seed in range(3):
+            assert sampling._sampled_window(n, seed, 10**17, 2) == (0, 0)
+    cfg = sampling.SampleConfig(n=65, trials=3, seed=1, f=S1, r=10**17)
+    assert sampling.monte_carlo(cfg) == sampling.MonteCarloResult(0.0, 0.0, 3)
+
+
 def test_sampled_profiles_build_no_tree(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a sampled window built a tree")

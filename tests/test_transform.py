@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -70,6 +71,54 @@ def test_shift_check_balanced():
     assert transform.shift_check(BAL4)
     assert trees.branch_counts(BAL4).counts == (4, 2, 1)
     assert trees.branch_counts(transform.phi(BAL4)).counts == (2, 1)
+
+
+def _reference_build(tau, chain_lengths, sides):
+    """One preimage, by a walk over ``tau`` per preimage: the builder
+    ``preimages`` replaced, kept as the reference for its yield order.
+
+    Slot i is the edge above the i-th node of ``tau`` in pre-order (slot 0
+    sits above the root). The side word is consumed in post-order of slots,
+    top chain link first within each slot; side 0 hangs the chain node's
+    leaf on the left.
+    """
+    side_iter = iter(sides)
+    next_slot = 0
+    built = []  # finished subtrees, right sibling on top
+    stack = [(tau, -1)]  # (node, its slot, or -1 before it has one)
+    while stack:
+        node, slot = stack.pop()
+        if slot < 0:
+            slot = next_slot
+            next_slot += 1
+            if node is not None:
+                # Revisit after both children; the left one is numbered first.
+                stack.append((node, slot))
+                stack.append((node[1], -1))
+                stack.append((node[0], -1))
+                continue
+            core = (L, L)
+        else:
+            right = built.pop()
+            core = (built.pop(), right)
+        links = [next(side_iter) for _ in range(chain_lengths[slot])]
+        for side in reversed(links):
+            core = (L, core) if side == 0 else (core, L)
+        built.append(core)
+    return built[0]
+
+
+def test_preimages_yield_in_the_reference_order():
+    for m in range(1, 5):
+        for tau in trees.enumerate_trees(m):
+            for n in range(2 * m, 11):
+                chain_total = n - 2 * m
+                expected = [
+                    _reference_build(tau, chain_lengths, sides)
+                    for chain_lengths in transform._compositions(chain_total, 2 * m - 1)
+                    for sides in product((0, 1), repeat=chain_total)
+                ]
+                assert list(transform.preimages(tau, n)) == expected, (tau, n)
 
 
 def test_preimages_fig3_multiplicity():
