@@ -165,8 +165,16 @@ def float_weight_blocks(lo: int, hi: int):
     summation order of a product taken at the block's full shape. Each
     block is one vectorised log-gamma expression (``_weight_block``) over
     the rows lo..hi only.
+
+    Every block is a view of one buffer that the sweep reuses, so a caller
+    finishes with a block before it asks for the next. Only the first and
+    the last block of a sweep have rows outside lo..hi, and only those rows
+    are zeroed again. The buffer holds any block of two rows or more
+    (k (a + k + 1) / 2 <= ``BLOCK_ENTRIES`` and width <= (a + k + 3) / 2);
+    from about magnitude ``BLOCK_ENTRIES`` on, where a block is one row, it
+    grows by a quarter at a time.
     """
-    a = 2
+    a, buffer = 2, np.empty(0)
     while a <= hi:
         k = max((math.isqrt((a + 1) ** 2 + 8 * BLOCK_ENTRIES) - (a + 1)) // 2, 1)
         if a + k <= lo:
@@ -179,7 +187,12 @@ def float_weight_blocks(lo: int, hi: int):
         b = a + k - 1
         first, last = max(lo, a), min(hi, b)
         width = _block_width(b)
-        flat = np.zeros(1 + (b - a + 1) * width)
+        size = 1 + (b - a + 1) * width
+        if len(buffer) < size:
+            buffer = np.empty(max(size + size // 4, 1 + BLOCK_ENTRIES + _DIAG_PAD))
+        flat = buffer[:size]
+        flat[: (first - a) * width] = 0.0
+        flat[(last - a + 1) * width + 1 :] = 0.0
         _weight_block(first, last, width, flat[(first - a) * width : (last - a + 1) * width + 1])
         yield a, flat[:-1].reshape(b - a + 1, width)
         a = b + 1

@@ -23,13 +23,34 @@ independent oracle:
   shares. Where a divisor vanishes at S1 = n, and for an f that does not
   split (``S1/S2``, ``1/S2``), it is K(n, .) . V_1 of f with its first
   variable bound to n.
-* ``expectation_exact`` of a one-variable polynomial f of degree K (read
-  off f's split, exact after cancellation: ``S1^3``, ``(S1-1)*S1/2``,
-  ``S1/(S1-S1+1)``) at base order r >= 2 reads the coefficient of z^n in
-  its generating function instead, where the operation counts of
-  ``_series_pays`` say that is cheaper than the kernel: never at r = 2, and
-  from about n = 10 K 2^(r-1) (n = 44 for ``S1`` at r = 3). Where K = 1
-  does not pay, no K does, and f is not split; elsewhere a constant,
+* In exact mode a one-variable polynomial f of degree K (read off f's
+  split, exact after cancellation: ``S1^3``, ``(S1-1)*S1/2``,
+  ``S1/(S1-S1+1)``) answers at base order 2 by the marked-cherry sum.
+  S_2 counts cherries, the internal nodes whose two children are leaves,
+  so c_{n-1} E_n[C(S_2, k)] counts magnitude-n trees with k chosen
+  cherries. Contracting each chosen cherry to a marked leaf maps these one
+  to one onto magnitude-(n-k) trees with k marked leaves (chosen cherries
+  are disjoint, and expanding the marked leaves undoes it), so that count
+  is C(n-k, k) c_{n-k-1}. Newton's series f(s) = sum_k Δ^k f(0) C(s, k)
+  then gives
+
+      E_n[f at 2] = sum_{k <= min(K, n/2)} Δ^k f(0) C(n-k, k) c_{n-k-1} / c_{n-1},
+
+  K + 1 terms at most, whose Catalan ratio is the product of
+  (j+1) / (2(2j-1)) over j = n-k..n-1: a query forms no Catalan number
+  (``_Newton``). The level-2 table entry at magnitude m >= 1 is the
+  integer sum_k Δ^k f(0) C(m-k, k) c_{m-k-1}, so a fill or an entry steps
+  over f's Newton form where it would step over a row (``_exact_step``),
+  for the levels above and, at order 1, for the parts of a split f that
+  are such polynomials (the part S1 of ``S2/S1`` and of ``S1*S2-S3``).
+  Past K^2 = 8 n the form's K (K + 1) / 2 differences cost more than a
+  row of n // 2 terms, and the kernel answers.
+* At base order r >= 3 such an f reads the coefficient of z^n in its
+  generating function instead, where the operation counts of
+  ``_series_pays`` say that is cheaper than the kernel: never at r = 3,
+  where the kernel over the sum's level-2 table is linear in n, and from
+  about n = 10 K 2^(r-1) at r >= 4 (n = 88 for ``S1`` at r = 4). Where
+  K = 1 does not pay, no K does, and f is not split; elsewhere a constant,
   ``0*S1`` included, is its own expectation. The series (``gf``) follows
   from f's values alone and is exact, so the answer is the same value
   either way. Observables that divide by a variable (``S1/S1``, ``1/S1``)
@@ -122,6 +143,50 @@ class _Series(NamedTuple):
     coeffs: list
 
 
+class _Newton(NamedTuple):
+    """A one-variable polynomial f of degree K in Newton's form,
+    f(s) = sum_k diffs[k] C(s, k) / scale with diffs[k] = scale Δ^k f(0),
+    k = 0..K, integers: its base-2 answers are the marked-cherry sum."""
+
+    scale: int
+    diffs: tuple
+
+    @classmethod
+    def of(cls, f: Observable, degree: int) -> "_Newton":
+        """f's form from its values at 0..degree, differenced degree times."""
+        values = [f.evaluate((s,)) for s in range(degree + 1)]
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = list(map(operator.sub, values[1:], values))
+        scale = math.lcm(*(Fraction(d).denominator for d in diffs))
+        return cls(scale, tuple(int(d * scale) for d in diffs))
+
+    def count(self, n: int):
+        """c_{n-1} E_n[f at base 2] for n >= 1: sum_k diffs[k]
+        C(n-k, k) c_{n-k-1} / scale, an int unless f's values are not."""
+        total = sum(
+            d * math.comb(n - k, k) * comb.catalan(n - k - 1)
+            for k, d in enumerate(self.diffs[: n // 2 + 1])
+        )
+        return total if self.scale == 1 else _integral(Fraction(total, self.scale))
+
+    def expectation(self, n: int) -> Fraction:
+        """E_n[f at base 2] for n >= 1: the count over c_{n-1}, whose k-th
+        term's ratio C(n-k, k) c_{n-k-1} / c_{n-1} is the (k-1)-th times
+        (n-2k+2)(n-2k+1) / (2k (2n-2k-1)), so no Catalan number is formed.
+        The sum is carried over the product of those divisors."""
+        total, den, ratio = 0, 1, 1
+        for k, d in enumerate(self.diffs[: n // 2 + 1]):
+            if k:
+                ratio *= (n - 2 * k + 2) * (n - 2 * k + 1)
+                divisor = 2 * k * (2 * n - 2 * k - 1)
+                total *= divisor
+                den *= divisor
+            total += d * ratio
+        return Fraction(total, den * self.scale)
+
+
 class _Arithmetic(NamedTuple):
     """What tells the modes apart; the recursion and the push are shared.
 
@@ -157,6 +222,7 @@ class ExpectationEngine:
         self._laws: dict = {}
         self._series: dict = {}
         self._splits: dict = {}
+        self._newtons: dict = {}
 
     # -- the oracle, by root split --------------------------------------------
 
@@ -194,9 +260,10 @@ class ExpectationEngine:
 
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
         self._arithmetic(n, r, "exact")
-        if r > 1 and f.arity == 1 and _series_pays(n, r, 1):
-            split = self._split(f)
-            degree = split and split.degree()
+        if r == 2 and (newton := self._newton(f, n)):
+            return newton.expectation(n)
+        if r > 2 and f.arity == 1 and _series_pays(n, r, 1):
+            degree = self._degree(f)
             if degree == 0:  # a constant
                 return Fraction(f.evaluate((0,)))
             if degree and _series_pays(n, r, degree):
@@ -250,14 +317,18 @@ class ExpectationEngine:
 
     def _below(self, arith: _Arithmetic, f: Observable, j: int, top: int):
         """What the level-j entries of f to magnitude top step over: the level
-        j-1 table of f or, at level 1, the level-1 tables of f's parts when
-        f splits by powers of S1 (None when it does not)."""
+        j-1 table of f or, at level 1, what each of f's parts steps over at
+        level 2 when f splits by powers of S1 (None when it does not). At
+        level 2 an exact one-variable polynomial steps over its Newton form
+        (``_newton``) instead, which no kernel row reads."""
+        if j == 2 and arith is _EXACT and (newton := self._newton(f, top)):
+            return newton
         if j > 1:
             return self._level(arith, f, j - 1, top // 2)
         if f.arity == 1:
             return None
         split = self._split(f)
-        return split and [self._level(arith, part, 1, top // 2) for part in split.parts]
+        return split and [self._below(arith, part, 2, top) for part in split.parts]
 
     def _split(self, f: Observable):
         """f split by powers of S1 (``split.split_first``), made once."""
@@ -266,6 +337,26 @@ class ExpectationEngine:
 
             self._splits[f] = split_first(f)
         return self._splits[f]
+
+    def _degree(self, f: Observable):
+        """The degree of a one-variable polynomial f (``FirstSplit.degree``),
+        else None."""
+        split = f.arity == 1 and self._split(f)
+        return split.degree() if split else None
+
+    def _newton(self, f: Observable, n: int):
+        """f in Newton's form (``_Newton``), made once, when f is a
+        one-variable polynomial of degree K with K^2 <= 8 n; else None. The
+        form takes f at 0..K and K (K + 1) / 2 differences of those values;
+        past that bound a row of n // 2 terms costs less or about the same
+        (cold queries of S1^K meet near K = 60 at n = 300 and past K = 150
+        at n = 1000)."""
+        degree = self._degree(f)
+        if degree is None or degree * degree > 8 * n:
+            return None
+        if f not in self._newtons:
+            self._newtons[f] = _Newton.of(f, degree)
+        return self._newtons[f]
 
     def _entry(self, arith: _Arithmetic, f: Observable, j: int, n: int, below):
         """The entry V_j(n) of f, given ``_below``: f at its window below
@@ -403,17 +494,29 @@ def _validate_query(n: int, r: int):
 
 
 def _series_pays(n: int, r: int, degree: int) -> bool:
-    """Whether a cold query costs less by the series than by the kernel, by
-    operation counts. The series takes 2 d_r - K + 1 products per
-    coefficient (d_r = K 2^(r-1)), n coefficients in all. The kernel takes
-    n//2 steps at n and, for each level j = 2..r-1, floor(t^2/4) steps over
-    its table to t = n >> (r - j); a step (a row entry and a dot term, both
-    of magnitude-sized integers) costs about 2.5 series products, measured
-    at n = 100..1000, K = 1..3. Past order n.bit_length() + 1 every window
-    is all zeros, and the kernel is cheaper there."""
+    """Whether a cold query at base order r >= 3 costs less by the series
+    than by the kernel, by operation counts. The series takes 2 d_r - K + 1
+    products per coefficient (d_r = K 2^(r-1)), n coefficients in all. The
+    kernel takes n//2 steps at n, the K + 1 terms of the marked-cherry sum
+    per entry of its level-2 table to t = n >> (r - 2), each counted as a
+    step, and floor(t^2/4) steps over each table of levels j = 3..r-1 to
+    t = n >> (r - j); a step (a row entry and a dot term, both of
+    magnitude-sized integers) costs about 2.5 series products. So the
+    kernel is linear in n at r = 3 and always cheaper there, and the series
+    pays from n = 88, 180 and 272 at r = 4 (K = 1, 2, 3), from 156, 312 and
+    470 at r = 5 and from 306, 612 and 920 at r = 6. Cold queries measured
+    at n = 50..1000 in steps of 25 put these crossovers at none for r = 3;
+    75-100, 175-200 and 275-300 for r = 4; 125-150, 275-300 and 475-500 for
+    r = 5; 250-275, 625-650 and past 1000 for r = 6. Where K = 1 does not
+    pay, no K does: a unit of K adds 2 n (2^r - 1) products to the series
+    and (n >> (r - 2)) steps to the kernel. Past order n.bit_length() + 1
+    every window is all zeros, and the kernel is cheaper there."""
     r = min(r, n.bit_length() + 1)
+    if r < 3:
+        return False
     per_coefficient = 2 * (degree << (r - 1)) - degree + 1
-    kernel_steps = n // 2 + sum((n >> i) ** 2 // 4 for i in range(1, r - 1))
+    kernel_steps = (n // 2 + (degree + 1) * (n >> (r - 2))
+                    + sum((n >> i) ** 2 // 4 for i in range(1, r - 2)))
     return 2 * n * per_coefficient <= 5 * kernel_steps
 
 
@@ -448,18 +551,24 @@ def _float_combine(weights: list, scale: int, entries: list) -> tuple:
     return total, abs(total), error + mass * (len(entries) + 2) * _EPS
 
 
-def _exact_step(n: int, below: np.ndarray):
+def _exact_step(n: int, below):
+    """multiplicity_row(n) @ below, or the count of a Newton form."""
+    if isinstance(below, _Newton):
+        return below.count(n)
     return comb.multiplicity_row(n) @ below[: n // 2 + 1]
 
 
 def _exact_steps(lo: int, hi: int, tables: list) -> list:
     """Per table, the rows multiplicity_row(n) @ table of n = lo..hi >= 2,
-    each multiplicity row built once for every table."""
+    each multiplicity row built once for every table, and built only if
+    some table is not a Newton form, which counts without one."""
     steps = [[] for _ in tables]
+    rows_needed = not all(isinstance(below, _Newton) for below in tables)
     for n in range(lo, hi + 1):
-        row = comb.multiplicity_row(n)
+        row = comb.multiplicity_row(n) if rows_needed else None
         for below, rows in zip(tables, steps):
-            rows.append(row @ below[: n // 2 + 1])
+            rows.append(below.count(n) if isinstance(below, _Newton)
+                        else row @ below[: n // 2 + 1])
     return [np.array(rows, dtype=object) for rows in steps]
 
 

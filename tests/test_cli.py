@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -10,6 +11,7 @@ import platform
 import shlex
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -598,16 +600,16 @@ def test_cli_import_loads_neither_split_nor_gf():
     assert done.stdout.strip() == "[]"
 
 
-def test_setup_query_loads_no_split():
-    # expect --n 12 --r 2 is where the series does not pay even at degree 1,
-    # so it does not pay at any degree and the observable is never split.
+def test_setup_query_loads_no_series():
+    # expect --n 12 --r 2 takes the marked-cherry sum, which splits S1 for
+    # its degree and never loads the series module.
     script = (
         "import contextlib, io, sys\n"
         "import strahler.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = strahler.cli.main(['expect', '--n', '12', '--r', '2'])\n"
         "assert code == 0, code\n"
-        "print('strahler.split' in sys.modules)\n"
+        "print('strahler.split' in sys.modules, 'strahler.gf' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
@@ -615,7 +617,81 @@ def test_setup_query_loads_no_split():
              "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "True False"
+
+
+# SHA-256 of stdout, recorded before base-2 answers of one-variable
+# polynomials became the marked-cherry sum: the same values print the same
+# bytes, at r = 2 and wherever r = 2 is read (ratio at r = 1, asympt at
+# r = 2, the sample reference, the float rows past the ceiling).
+ORDER_TWO_PINS = {
+    "expect --r 2 --f S1 --mode exact --n-grid 1,2,3,5,12,40,100,299,300":
+        "a42dd896d6d712a1e3b93af3a432be70cbeacee4623b8d5e8bb1ccc9a353a4ca",
+    "expect --r 2 --f S1 --mode auto --n-grid 1,2,3,5,12,40,100,299,300":
+        "a42dd896d6d712a1e3b93af3a432be70cbeacee4623b8d5e8bb1ccc9a353a4ca",
+    "expect --r 2 --f S1^2 --mode exact --n-grid 1,2,3,5,12,40,100,299,300":
+        "282d8a7eaf8d73facdd5d2342adb66dadbda4f12e1d41ef4d5055454a552e3bb",
+    "expect --r 2 --f S1^2 --mode auto --n-grid 1,2,3,5,12,40,100,299,300":
+        "282d8a7eaf8d73facdd5d2342adb66dadbda4f12e1d41ef4d5055454a552e3bb",
+    "expect --r 2 --f 2*S1^2+S1/3-5 --mode exact --n-grid 1,2,3,5,12,40,100,299,300":
+        "ba2365c2535e198df14d52de6c21ec23dc1500ae32807438ca953c4b4c5fb395",
+    "expect --r 2 --f 2*S1^2+S1/3-5 --mode auto --n-grid 1,2,3,5,12,40,100,299,300":
+        "ba2365c2535e198df14d52de6c21ec23dc1500ae32807438ca953c4b4c5fb395",
+    "expect --r 2 --f S1 --mode auto --n-grid 100,300,301,1000":
+        "4b64f50ba067c27a5fe143afebe6b57b7ce29c24ecc46f78965a92512e3170d1",
+    "expect --n 12 --r 2": "2de40d4a86d779ffdf156789e9c4b0f4316891b4158d7f1155920a4019d5df6a",
+    "expect --r 2 --f S1 --mode exact --n-grid 100,500,1000 --max-n 1000 --format json":
+        "ac95d1da97239966e55e211f20b5f12edddd10a517c655c82748bfccd8224b22",
+    "ratio --r 1 --f S1 --mode exact --n-grid 10,100,200,300":
+        "0fc9a286725381074e8112f04109a259da010342486f16178fffb48575280a12",
+    "ratio --r 1 --f S1^2 --mode exact --n-grid 10,100,200,300":
+        "2cc171ce72f50f2d599da742166e5de96d43347ba1c149f40c9745937531367c",
+    "ratio --r 1 --f S2/S1 --mode exact --n-grid 10,100,200,300":
+        "efd8112f9a731d1e3706d420a2f48fa3ad7c57b67553786d067f208c7409982c",
+    "ratio --r 1 --f S1*S2-S3 --mode exact --n-grid 10,100,200,300":
+        "88666bceb119573f96b2a17ecb2b04b1eb9c9d8fb8a12f36a398b0ca24f547ee",
+    "ratio --r 2 --f S1 --mode exact --n-grid 10,100,300":
+        "934f33c4aaaacc2984dab7e67a143d525cd2ca1eeb70800632bdd69b00930968",
+    "asympt --r 2 --f S1 --n-grid 50,100,200,300":
+        "dec48c121594f72427d48611a1b314db992e4ee8c7f43694319af9542c50c3f5",
+    "asympt --r 2 --f S1^2 --n-grid 50,100,200,300":
+        "dbd243a38484813d14138b2f0d6d641dde63482c222a14de916b8942a264b246",
+    "asympt --r 2 --f S1 --max-n 1000 --n-grid 50,100,200,400,800":
+        "8da14bb28a9abcc2f87fa601cb98a9b1532abfcdc9953306275ef615c2ff2d97",
+    "sample --r 2 --f S1 --n 200 --trials 300 --seed 5":
+        "45cf1622f90d5d670437d3ef7f4ebdbc1aa3d25b3a8cfae501de003e1b9014c1",
+    "sample --r 2 --f S1^2 --n 48 --trials 300 --seed 5":
+        "d949dbc02e5cdccf3020cf5b16ea4e6d7ad42178a8a96121edf174754cd588c7",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(ORDER_TWO_PINS))
+def test_order_two_outputs_are_pinned(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the auto fallback past 300
+        code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert _sha256(out) == ORDER_TWO_PINS[command]
+
+
+def test_verify_details_are_pinned(capsys):
+    # Every verdict and detail of a reduced run, without its timings and
+    # environment, as recorded with the order-two pins above.
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if k not in ("seconds", "environment")}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "500", "--trials", "200")
+    assert code == 1  # the two known red checks
+    assert _sha256(json.dumps(strip(json.loads(out)), sort_keys=True)) == (
+        "7dc67da5f4cc5fb4ca3af8849c4725a188a0485b07fc243fb021a9b09073876d")
 
 
 def test_exit_code_resource_limit(capsys):

@@ -260,6 +260,56 @@ def test_float_tables_do_not_depend_on_fill_history():
         assert law == ExpectationEngine()._law(_FLOAT, 4000, steps), steps
 
 
+def _zeroed_blocks(lo, hi, blocks=comb.float_weight_blocks):
+    """The blocks of ``blocks`` rebuilt one by one in a fresh zeroed array
+    each, as before one buffer served a sweep."""
+    for a, block in blocks(lo, hi):
+        rows, width = block.shape
+        first, last = max(lo, a), min(hi, a + rows - 1)
+        flat = np.zeros(1 + rows * width)
+        comb._weight_block(first, last, width, flat[(first - a) * width : (last - a + 1) * width + 1])
+        yield a, flat[:-1].reshape(rows, width)
+
+
+def _float_sweep(engine):
+    """A float-sweep-style fill: Horton ratios on the float grid at r <= 3,
+    moments of S1^k at r <= 2, a split f, and two float laws."""
+    grid = (100, 158, 251, 398, 631, 1000, 1585, 2512)
+    for n in grid:
+        for r in (1, 2, 3, 4):
+            engine.expectation_float(n, r, S1)
+    for f in (S1SQ, parse("S1^3"), parse("S1*S2-S3")):
+        for n in (500, 1000, 2000):
+            for r in (1, 2, 3):
+                engine.expectation_float(n, r, f)
+    return [engine.distribution(4000, 3, "float"), engine.distribution(3000, 5, "float")]
+
+
+def test_one_weight_buffer_per_sweep_keeps_the_bits(monkeypatch):
+    # One buffer serves every block of a sweep; its rows outside the sweep's
+    # range are zeroed again, even over stale or uninitialised memory, so
+    # every table and law has the bits of a zeroed array per block.
+    fresh = ExpectationEngine()
+    with monkeypatch.context() as patch:
+        patch.setattr(comb, "float_weight_blocks", _zeroed_blocks)
+        fresh_laws = _float_sweep(fresh)
+    shared = ExpectationEngine()
+    shared_laws = _float_sweep(shared)
+    assert shared_laws == fresh_laws
+    assert set(shared._tables) == set(fresh._tables)
+    for key, table in fresh._tables.items():
+        assert _bits(shared._tables[key]) == _bits(table), (key[1].text, key[2])
+
+    empty = np.empty
+    with monkeypatch.context() as patch:
+        patch.setattr(comb.np, "empty", lambda size: np.full(size, np.nan))
+        for lo, hi in ((1001, 1300), (2, 600), (3990, 4100), (9990, 10010)):
+            reference = _zeroed_blocks(lo, hi)
+            for (a, block), (b, want) in zip(comb.float_weight_blocks(lo, hi), reference):
+                assert a == b and _bits(block) == _bits(want), (lo, hi, a)
+    assert np.empty is empty
+
+
 def test_split_order_1_fills_take_the_block_step(monkeypatch):
     # The float order-1 table of a split f is, magnitude by magnitude, the
     # combination of its parts' order-2 entries, which block products fill:
@@ -294,8 +344,11 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
     # One sweep steps every part of a split f over a fill range, so a cold
     # query builds each weight block, or each exact row, of a fill once: the
     # part S2's order-1 table to n // 4 (its one part S1), the order-1 table
-    # of f to n // 2 (both parts) and the query's own row. The tables have
-    # the bits of one sweep per part.
+    # of f to n // 2 (both parts) and the query's own row. An exact part S1
+    # is a one-variable polynomial, whose order-2 entries are the
+    # marked-cherry sum: the part S2's table to n // 4 builds no row, and
+    # f's table to n // 2 builds its rows for the part S2 alone. The float
+    # tables have the bits of one sweep per part.
     f = parse("S1*S2-S3")
     built, rows = [], []
     weight_block, multiplicity_row = comb._weight_block, comb.multiplicity_row
@@ -320,7 +373,7 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
         engine.expectation_float(4000, 2, f)
         ExpectationEngine().expectation_exact(300, 2, f)
     assert built == expected + [(4000, 4000)]
-    assert rows == [*range(2, 76), *range(2, 151), 300]
+    assert rows == [*range(2, 151), 300]
 
     split_f = engine._split(f)
     per_part = [
@@ -672,9 +725,10 @@ def test_observables_dividing_by_s2_keep_the_bound_route(monkeypatch):
 
 
 def test_order_one_reads_shared_part_tables():
-    # E_n[S2/S1] at order 1 is E_n[S2] / n: one level-1 table of S1 serves
-    # every magnitude, and no observable with S1 bound to a number is kept.
-    f, part = RATIO, S1
+    # E_n[S3/S1] at order 1 is E_n[S3] / n: one level-1 table of the part
+    # S2 serves every magnitude, and no observable with S1 bound to a number
+    # is kept.
+    f, part = parse("S3/S1"), parse("S2")
     engine = ExpectationEngine(exact_limit=1000)
     for n in (1000, 10, 999):
         engine.expectation_exact(n, 1, f)
@@ -684,7 +738,27 @@ def test_order_one_reads_shared_part_tables():
     engine.expectation_exact(30, 2, f)
     assert set(engine._tables) == {(_EXACT, part, 1), (_EXACT, f, 1)}
     assert engine.expectation_exact(1000, 1, f) == (
+        engine.expectation_exact(1000, 2, part) / 1000)
+
+
+def test_order_one_polynomial_parts_take_the_marked_cherry_sum(monkeypatch):
+    # E_n[S2/S1] at order 1 is E_n[S2] / n, and the part S1 is a one-variable
+    # polynomial: its order-2 entry is the marked-cherry sum, so an exact
+    # query keeps no table and builds no multiplicity row. The order-1 table
+    # of f steps over the part's Newton form and holds the kernel's values.
+    f = RATIO
+    engine = ExpectationEngine(exact_limit=1000)
+    with monkeypatch.context() as patch:
+        patch.setattr(comb, "multiplicity_row", None)
+        for n in (1000, 10, 999):
+            engine.expectation_exact(n, 1, f)
+    assert engine._tables == {} and list(engine._newtons) == [S1]
+    assert engine.expectation_exact(1000, 1, f) == (
         engine.expectation_exact(1000, 2, S1) / 1000)
+    memo = {}
+    assert engine._level(_EXACT, f, 1, 150).tolist() == [0] + [
+        _fraction_expectation(m, 1, f, memo) * comb.catalan(m - 1) for m in range(1, 151)
+    ]
 
 
 def test_float_distribution_lists_only_nonzero_probabilities(engine):
