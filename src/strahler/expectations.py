@@ -23,9 +23,9 @@ independent oracle:
   shares. Where a divisor vanishes at S1 = n, and for an f that does not
   split (``S1/S2``, ``1/S2``), it is K(n, .) . V_1 of f with its first
   variable bound to n.
-* In exact mode a one-variable polynomial f of degree K (read off f's
-  split, exact after cancellation: ``S1^3``, ``(S1-1)*S1/2``,
-  ``S1/(S1-S1+1)``) answers at base order 2 by the marked-cherry sum.
+* A one-variable polynomial f of degree K (``Observable.degree``, exact
+  after cancellation: ``S1^3``, ``(S1-1)*S1/2``, ``S1/(S1-S1+1)``)
+  answers at base order 2 by the marked-cherry sum, in both modes.
   S_2 counts cherries, the internal nodes whose two children are leaves,
   so c_{n-1} E_n[C(S_2, k)] counts magnitude-n trees with k chosen
   cherries. Contracting each chosen cherry to a marked leaf maps these one
@@ -44,18 +44,27 @@ independent oracle:
   for the levels above and, at order 1, for the parts of a split f that
   are such polynomials (the part S1 of ``S2/S1`` and of ``S1*S2-S3``).
   Past K^2 = 8 n the form's K (K + 1) / 2 differences cost more than a
-  row of n // 2 terms, and the kernel answers.
-* At base order r >= 3 such an f reads the coefficient of z^n in its
-  generating function instead, where the operation counts of
+  row of n // 2 terms, and the kernel answers. A float entry is the same
+  sum in floats, K numpy passes over the magnitudes of a fill, within
+  (3K + 2) eps of its terms' mass ((5K + 2) eps past m^2 = 2^53;
+  ``_Newton.float_rows``), so a float query at r = 2 builds no weight row
+  and no level-1 table. A float entry
+  whose sum is not finite, or whose bound is worse than a kernel step's
+  could be (terms that cancel), takes the kernel step instead, as does
+  one of magnitude m < K^2 / 8: the route of a float entry depends on its
+  magnitude alone.
+* In exact mode, at base order r >= 3 such an f reads the coefficient of
+  z^n in its generating function instead, where the operation counts of
   ``_series_pays`` say that is cheaper than the kernel: never at r = 3,
   where the kernel over the sum's level-2 table is linear in n, and from
   about n = 10 K 2^(r-1) at r >= 4 (n = 88 for ``S1`` at r = 4). Where
-  K = 1 does not pay, no K does, and f is not split; elsewhere a constant,
-  ``0*S1`` included, is its own expectation. The series (``gf``) follows
-  from f's values alone and is exact, so the answer is the same value
-  either way. Observables that divide by a variable (``S1/S1``, ``1/S1``)
-  or do not split, several variables, float mode and distributions stay
-  on the kernel.
+  K = 1 does not pay, no K does, and f's degree is not read; elsewhere a
+  constant, ``0*S1`` included, is its own expectation. The series
+  (``gf``) follows from f's values alone and is exact, so the answer is
+  the same value either way. A float query at r >= 3 steps over the sum's
+  level-2 table. Observables that divide by a variable (``S1/S1``,
+  ``1/S1``) or pass the term limit, several variables and distributions
+  stay on the kernel.
 * ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
   pushed law is memoised per (mode, n, step), so a higher order of the same
   magnitude continues from the last law an earlier query left. An exact
@@ -76,8 +85,9 @@ absolute error bound alongside every value. Every table fill is one
 part: a row and a dot per entry and table when exact, and in float mode, as
 for a pushed law, one matrix product per table and block of a fixed
 partition of the magnitudes (``comb.float_weight_blocks``) at the block's
-full shape, each row or block built once. A query's own entry is one row's
-dot (``step``).
+full shape, each row or block built once, and only if some table the sweep
+steps over is not a Newton form. A query's own entry is one row's dot
+(``step``), or its Newton form's sum.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -98,6 +108,7 @@ it. Float results are deterministic from run to run.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -146,10 +157,14 @@ class _Series(NamedTuple):
 class _Newton(NamedTuple):
     """A one-variable polynomial f of degree K in Newton's form,
     f(s) = sum_k diffs[k] C(s, k) / scale with diffs[k] = scale Δ^k f(0),
-    k = 0..K, integers: its base-2 answers are the marked-cherry sum."""
+    k = 0..K, integers: its base-2 answers are the marked-cherry sum. As
+    what a level-2 entry steps over (``ExpectationEngine._below``), it
+    carries ``kernel``, top -> f's level-1 table over 0..top, for the float
+    entries the sum leaves to a kernel step (``float_rows``)."""
 
     scale: int
     diffs: tuple
+    kernel: Callable = None
 
     @classmethod
     def of(cls, f: Observable, degree: int) -> "_Newton":
@@ -185,6 +200,58 @@ class _Newton(NamedTuple):
                 den *= divisor
             total += d * ratio
         return Fraction(total, den * self.scale)
+
+    def float_rows(self, ns: np.ndarray) -> np.ndarray:
+        """Float table rows (value, |value|, error) of E_m[f at base 2] for
+        the magnitudes m >= 2 in ns, each entry an elementwise function of m:
+        the sum of the terms t_k = (diffs[k] / scale) ρ_k(m), with ρ_0 = 1
+        and ρ_k = ρ_{k-1} (m-2k+2)(m-2k+1) / (2k (2m-2k-1)), K numpy passes.
+        Past k = m // 2 a factor is an exact zero, and so is every later ρ.
+
+        The error bound counts roundings of u = eps / 2 (Higham, *Accuracy
+        and Stability of Numerical Algorithms*, 2002, §3-4). The linear
+        factors m-2k+2, ..., 2m-2k-1 are exact integers below 2^53. Their two
+        products are below m^2 (as k <= m / 2 where ρ_k is nonzero), so exact
+        while m^2 <= 2^53, and one rounding each past it. Each ρ_j then adds
+        the division's rounding and the product's: ρ_k carries at most 2k
+        roundings, or 4k past m^2 = 2^53. The term adds diffs[k] / scale
+        (Python's int / int, correctly rounded) and its product, 2k + 2 (or
+        4k + 2) in all, and the summation of the K + 1 terms in order adds
+        at most K more to each (Higham, §4.2). Every term's relative error is
+        therefore within γ_j = j u / (1 - j u) <= j eps, j = 3K + 2 (or
+        5K + 2), and the sum's absolute error within j eps times the mass
+        sum_k |t_k|.
+
+        A row is NaN, and the entry is left to the kernel, where the sum
+        does not answer as well as a kernel step could: where a term or the
+        sum is not a finite float (every row, when some diffs[k] / scale
+        does not fit one), where its bound exceeds the least bound of a
+        kernel step, ``_step_error(m)`` |value| (a centred f whose terms
+        cancel), below the form's own bound K^2 <= 8 m
+        (``ExpectationEngine._newton``), and past m = 2^52, where the linear
+        factors stop being exact. These depend on m alone, so an entry's
+        route and bits do too, whatever range a fill covers."""
+        try:
+            coeffs = [d / self.scale for d in self.diffs]
+        except OverflowError:
+            return np.full((len(ns), 3), math.nan)
+        m = np.asarray(ns, dtype=float)
+        rows = np.empty((len(m), 3))
+        total, size, error = rows.T  # the error column holds the mass first
+        total[:], error[:] = coeffs[0], abs(coeffs[0])
+        ratio = np.ones(len(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, c in enumerate(coeffs[1:], 1):
+                ratio *= (m - 2 * k + 2) * (m - 2 * k + 1) / (2 * k * (2 * m - 2 * k - 1))
+                term = c * ratio
+                total += term
+                error += np.abs(term)
+            degree = len(coeffs) - 1
+            error *= np.where(m * m > 2.0**53, 5 * degree + 2, 3 * degree + 2) * _EPS
+            kept = np.isfinite(total) & (error <= _step_error(m) * np.abs(total, out=size))
+        kept &= (degree * degree <= 8 * m) & (m <= 2.0**52)
+        rows[~kept] = math.nan
+        return rows
 
 
 class _Arithmetic(NamedTuple):
@@ -222,6 +289,7 @@ class ExpectationEngine:
         self._laws: dict = {}
         self._series: dict = {}
         self._splits: dict = {}
+        self._degrees: dict = {}
         self._newtons: dict = {}
 
     # -- the oracle, by root split --------------------------------------------
@@ -319,10 +387,11 @@ class ExpectationEngine:
         """What the level-j entries of f to magnitude top step over: the level
         j-1 table of f or, at level 1, what each of f's parts steps over at
         level 2 when f splits by powers of S1 (None when it does not). At
-        level 2 an exact one-variable polynomial steps over its Newton form
-        (``_newton``) instead, which no kernel row reads."""
-        if j == 2 and arith is _EXACT and (newton := self._newton(f, top)):
-            return newton
+        level 2 a one-variable polynomial steps over its Newton form
+        (``_newton``) instead, which no kernel row reads, with its level-1
+        table at hand for the float entries the sum leaves to the kernel."""
+        if j == 2 and (newton := self._newton(f, top)):
+            return newton._replace(kernel=functools.partial(self._level, arith, f, 1))
         if j > 1:
             return self._level(arith, f, j - 1, top // 2)
         if f.arity == 1:
@@ -339,10 +408,11 @@ class ExpectationEngine:
         return self._splits[f]
 
     def _degree(self, f: Observable):
-        """The degree of a one-variable polynomial f (``FirstSplit.degree``),
-        else None."""
-        split = f.arity == 1 and self._split(f)
-        return split.degree() if split else None
+        """The degree of a one-variable polynomial f (``Observable.degree``),
+        else None; read once."""
+        if f not in self._degrees:
+            self._degrees[f] = f.degree()
+        return self._degrees[f]
 
     def _newton(self, f: Observable, n: int):
         """f in Newton's form (``_Newton``), made once, when f is a
@@ -350,7 +420,9 @@ class ExpectationEngine:
         form takes f at 0..K and K (K + 1) / 2 differences of those values;
         past that bound a row of n // 2 terms costs less or about the same
         (cold queries of S1^K meet near K = 60 at n = 300 and past K = 150
-        at n = 1000)."""
+        at n = 1000). A fill to n takes the form for all its entries when
+        exact, and in float mode for those of magnitude m with K^2 <= 8 m
+        (``_Newton.float_rows``)."""
         degree = self._degree(f)
         if degree is None or degree * degree > 8 * n:
             return None
@@ -596,9 +668,15 @@ def _float_settle(ns: np.ndarray, dots: np.ndarray) -> np.ndarray:
     return np.column_stack((total, np.abs(total), error + mass * _step_error(ns)))
 
 
-def _float_step(n: int, below: np.ndarray) -> tuple:
+def _float_step(n: int, below) -> tuple:
     """The entry w(n, .) @ below of one magnitude, by one row's dot, settled
-    as a block's rows are."""
+    as a block's rows are; over a Newton form, its sum, or where that is NaN
+    (``_Newton.float_rows``), the row's dot over the form's level-1 table."""
+    if isinstance(below, _Newton):
+        row = below.float_rows(np.array([n]))[0]
+        if not math.isnan(row[0]):
+            return tuple(row.tolist())
+        below = below.kernel(n // 2)
     total, mass, error = (comb.float_weight_row(n) @ below[: n // 2 + 1]).tolist()
     return total, abs(total), error + mass * float(_step_error(n))
 
@@ -637,19 +715,37 @@ def _float_steps(lo: int, hi: int, tables: list) -> list:
     """Per table, the rows w(n, .) @ table of n = lo..hi >= 2: one matrix
     product per weight block (``comb.float_weight_blocks``), each block built
     once for every table, taken at the block's full shape over the table
-    zero-padded to the block's width. The product's summation order depends
-    on its shape alone, so an entry has the same bits whatever range, and
-    whichever other tables, a sweep fills."""
-    steps = [[] for _ in tables]
-    for a, block in comb.float_weight_blocks(lo, hi):
+    zero-padded to the block's width, and built only if some table is not
+    a Newton form, whose rows are its sum (``_float_sum``). The product's
+    summation order depends on its shape alone, so an entry has the same
+    bits whatever range, and whichever other tables, a sweep fills."""
+    steps = [[_float_sum(lo, hi, below)] if isinstance(below, _Newton) else []
+             for below in tables]
+    kernel = [(below, fresh) for below, fresh in zip(tables, steps)
+              if not isinstance(below, _Newton)]
+    for a, block in comb.float_weight_blocks(lo, hi) if kernel else ():
         rows, width = block.shape
         first, last = max(lo, a), min(hi, a + rows - 1)
         ns = np.arange(first, last + 1)
-        for below, fresh in zip(tables, steps):
+        for below, fresh in kernel:
             padded = np.zeros((width, 3))
             padded[: last // 2 + 1] = below[: last // 2 + 1]
             fresh.append(_float_settle(ns, (block @ padded)[first - a : last - a + 1]))
     return [np.concatenate(fresh) for fresh in steps]
+
+
+def _float_sum(lo: int, hi: int, newton: _Newton) -> np.ndarray:
+    """The rows of n = lo..hi >= 2 over a Newton form: its float sums
+    (``_Newton.float_rows``), and where a sum is NaN, the block product over
+    the form's level-1 table (``_float_steps``), which has the bits it has
+    in any sweep."""
+    rows = newton.float_rows(np.arange(lo, hi + 1))
+    left = np.flatnonzero(np.isnan(rows[:, 0]))
+    if len(left):
+        first, last = lo + int(left[0]), lo + int(left[-1])
+        kernel = _float_steps(first, last, [newton.kernel(last // 2)])[0]
+        rows[left] = kernel[left - left[0]]
+    return rows
 
 
 def _float_push(law: list) -> list:

@@ -212,8 +212,16 @@ def _shift(node: Node, first_value: int) -> Node:
 #
 # A multivariate polynomial is a dict {exponent tuple: int}; a rational
 # form is a (num, den) pair of those. Used to reject zero divisors at parse
-# time, to split observables by powers of S1 (``strahler.split``), and to
-# feed the asymptotic pipeline for single-variable observables.
+# time, to read a one-variable polynomial's degree, to split observables by
+# powers of S1 (``strahler.split``), and to feed the asymptotic pipeline for
+# single-variable observables.
+
+# The most terms a rational form may grow to in ``Observable.degree`` and
+# ``split.split_first``. Every term of a split makes a part with tables of
+# its own. An observable that expands past this, like ``(S1+S2)^3000`` or
+# ``(S1+1)^3000``, neither splits nor has a degree, and the kernel answers
+# it, which never expands it.
+SPLIT_TERMS = 64
 
 
 class _Sprawl(Exception):
@@ -300,6 +308,14 @@ def _is_zero(node: Node, arity: int) -> bool:
     return not _rational(node, arity)[0]
 
 
+def _nodes(node: Node):
+    """node and every node below it, parents first."""
+    yield node
+    if node[0] not in ("var", "lit"):
+        for child in node[1:2] if node[0] == "^" else node[1:]:
+            yield from _nodes(child)
+
+
 def _ascending(p: dict) -> list:
     """The coefficients of a polynomial in S1 alone, ascending powers."""
     out = [0] * (max((e[0] for e in p), default=0) + 1)
@@ -348,6 +364,24 @@ class Observable:
         if self.arity < 2:
             raise ValueError("bind_first requires arity >= 2")
         return Observable(_shift(self.ast, value), self.arity - 1)
+
+    def degree(self):
+        """The degree of a one-variable f (0 for the zero polynomial) when
+        every divisor of f is a nonzero constant, so that f is a polynomial:
+        exact after cancellation (``S1^2-S1^2+S1`` and ``S1/(S1-S1+1)`` have
+        degree 1). None for several variables, a divisor that mentions S1
+        (``S1^2/S1``), or a form past ``SPLIT_TERMS`` terms."""
+        if self.arity != 1:
+            return None
+        try:
+            num = _rational(self.ast, 1, SPLIT_TERMS)[0]
+            divisors = [_rational(node[2], 1, SPLIT_TERMS)[0]
+                        for node in _nodes(self.ast) if node[0] == "/"]
+        except _Sprawl:
+            return None
+        if any(len(_ascending(d)) > 1 for d in divisors):
+            return None
+        return len(_ascending(num)) - 1
 
     def rational_coeffs(self) -> Tuple[list, list]:
         """Integer numerator/denominator coefficient lists (ascending powers of S1).

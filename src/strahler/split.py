@@ -11,7 +11,8 @@ is that form's value at every window w, so f can be read off its parts;
 the expectation engine takes E_n[f] at order 1 as sum_a c_a n^a / Q(n)
 E_n[P_a at base 2]. Equal parts of different observables are equal
 observables, hashed by their AST like any other. An f of one variable
-splits into constant parts, and its powers give its degree.
+splits into constant parts (``Observable.degree`` reads its degree without
+this module).
 
 The engine loads this module on first use, so that set-up does not.
 """
@@ -21,13 +22,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .observables import Observable, _ascending, _rational, _Sprawl
-
-# The most terms a rational form may grow to in ``split_first``. Every term
-# makes a part with tables of its own; an observable that expands past this,
-# like ``(S1+S2)^3000``, keeps binding its first variable, which never
-# expands it.
-SPLIT_TERMS = 64
+from .observables import SPLIT_TERMS, Observable, _ascending, _nodes, _rational, _Sprawl
 
 
 class FirstSplit(NamedTuple):
@@ -47,13 +42,6 @@ class FirstSplit(NamedTuple):
         if any(_at(d, n) == 0 for d in self.divisors):
             return None
         return [c * n**a for a, c in zip(self.powers, self.coeffs)], _at(self.den, n)
-
-    def degree(self):
-        """A one-variable f's degree (0 for the zero polynomial) when every
-        divisor of f is a nonzero constant; otherwise None."""
-        if all(len(d) == 1 for d in self.divisors):
-            return max(self.powers, default=0)
-        return None
 
 
 def split_first(f: Observable):
@@ -89,14 +77,6 @@ def _at(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         value = value * x + c
     return value
-
-
-def _nodes(node):
-    """node and every node below it, parents first."""
-    yield node
-    if node[0] not in ("var", "lit"):
-        for child in node[1:2] if node[0] == "^" else node[1:]:
-            yield from _nodes(child)
 
 
 def _balanced(op: str, nodes: list):

@@ -466,6 +466,45 @@ def test_float_overflow_is_an_evaluation_failure(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, value",
+    [
+        # Level 2 of S1^100 at n = 2000 is its marked-cherry sum, which
+        # prints the exact value's 12 digits; at r = 3 the kernel steps
+        # over a level-1 table (100^2 > 8 * 1000).
+        ("--f S1^100 --n 2000 --r 2", 0, "8.56338036392e+270"),
+        ("--f S1^100 --n 2000 --r 3", 0, "1.81450308002e+214"),
+        # The sum overflows, and so does the kernel's level-1 table.
+        ("--f S1^120 --n 2000 --r 2", 1, None),
+        ("--f S1^120 --n 2000 --r 3", 1, None),
+        # 171! does not fit a float, so no entry takes the sum.
+        ("--f S1^171 --n 4000 --r 2", 1, None),
+        # Terms of about 1000^110 cancel to about 4e203: the kernel answers.
+        ("--f (S1-500)^110 --n 2000 --r 2", 0, "4.48610717081e+203"),
+    ],
+)
+def test_float_sums_keep_the_exit_codes(capsys, argv, code, value):
+    got, out, err = run_cli(capsys, "expect", "--mode", "float", *argv.split())
+    assert got == code, err
+    if value is None:
+        assert out == "" and "float range" in err
+    else:
+        assert parse_csv(out)[0]["value_decimal"] == value
+
+
+def test_float_ratio_residual_at_order_one(capsys):
+    # E_n[S2] is the marked-cherry sum n (n-1) / (2 (2n-3)), so the float
+    # ratio n / E_n[S2] = 4 - 2/n - 2/(n (n-1)) carries its residual against
+    # 4 - 2/n to 1e-6, where a kernel row lost 0.45% of it.
+    n = 10000
+    code, out, _ = run_cli(capsys, "ratio", "--mode", "float", "--r", "1", "--f", "S1",
+                           "--n-grid", str(n))
+    assert code == 0
+    residual = float(parse_csv(out)[0]["residual_decimal"])
+    exact = -2 / (n * (n - 1))
+    assert abs(residual - exact) <= 1e-6 * abs(exact)
+
+
 def test_horton_ratio_observable_answers(capsys):
     # S2 >= 1 on every tree of magnitude >= 2, so S1/S2 has an expectation
     # and a sampled mean there.
@@ -601,8 +640,9 @@ def test_cli_import_loads_neither_split_nor_gf():
 
 
 def test_setup_query_loads_no_series():
-    # expect --n 12 --r 2 takes the marked-cherry sum, which splits S1 for
-    # its degree and never loads the series module.
+    # expect --n 12 --r 2 takes the marked-cherry sum, which reads the
+    # degree of S1 off the observable itself and loads neither the split
+    # nor the series module.
     script = (
         "import contextlib, io, sys\n"
         "import strahler.cli\n"
@@ -617,7 +657,7 @@ def test_setup_query_loads_no_series():
              "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "True False"
+    assert done.stdout.strip() == "False False"
 
 
 # SHA-256 of stdout, recorded before base-2 answers of one-variable

@@ -14,6 +14,7 @@ from strahler import trees
 from strahler.expectations import (
     _EXACT,
     _FLOAT,
+    _Newton,
     ORACLE_LIMIT,
     DegenerateRatioError,
     ExpectationEngine,
@@ -150,12 +151,17 @@ def test_float_answers_do_not_depend_on_query_order():
 
 
 def _float_levels(f, levels, top, by_block=True):
-    """Float level tables 1..levels of a one-variable f over 0..top: f at
-    the window below magnitude 2 and at order 1, and w(n, .) @ (level below)
-    for every other entry, by one product per weight block at the block's
-    full shape over every row 2..top, or by one dot per row."""
-    tables = [_float_leaves([0] + [f.evaluate((n,)) for n in range(1, top + 1)])]
-    for _ in range(2, levels + 1):
+    """Float level tables 2..levels of a one-variable polynomial f over
+    0..top: f at the window below magnitude 2, the marked-cherry sum of its
+    Newton form at level 2 (``_Newton.float_rows``), and w(n, .) @ (level
+    below) for every other entry, by one product per weight block at the
+    block's full shape over every row 2..top, or by one dot per row."""
+    newton = _Newton.of(f, f.degree())
+    sums = newton.float_rows(np.arange(2, top + 1))
+    assert not np.isnan(sums).any(), f.text
+    window = _float_leaves([0, f.evaluate((0,))])
+    tables = [np.concatenate([window, sums])]
+    for _ in range(3, levels + 1):
         below, body = tables[-1], []
         if by_block:
             for a, block in comb.float_weight_blocks(2, top):
@@ -167,7 +173,7 @@ def _float_levels(f, levels, top, by_block=True):
         else:
             rows = [_float_step(n, below) for n in range(2, top + 1)]
             body.append(np.array(rows))
-        tables.append(np.concatenate([_float_leaves([0, f.evaluate((0,))])] + body))
+        tables.append(np.concatenate([window] + body))
     return tables
 
 
@@ -202,6 +208,8 @@ def _bits(table):
 
 
 def test_float_tables_and_laws_equal_the_block_product():
+    # Level 2 of a one-variable polynomial is its marked-cherry sum, which
+    # builds no level-1 table; every level above is the block product.
     by_block = {f: _float_levels(f, 3, 500) for f in (S1, S1SQ)}
     by_row = {f: _float_levels(f, 3, 500, by_block=False) for f in (S1, S1SQ)}
     cold, extended = ExpectationEngine(), ExpectationEngine()
@@ -211,13 +219,27 @@ def test_float_tables_and_laws_equal_the_block_product():
         extended.expectation_float(1000, 4, f)
     for engine in (cold, extended):
         tables = {key: table for key, table in engine._tables.items() if key[0] is _FLOAT}
-        assert {(f, j) for _, f, j in tables} == {(f, j) for f in (S1, S1SQ) for j in (1, 2, 3)}
+        assert {(f, j) for _, f, j in tables} == {(f, j) for f in (S1, S1SQ) for j in (2, 3)}
         for (_, f, j), table in tables.items():
             assert len(table) == 1000 // 2 ** (4 - j) + 1
-            assert _bits(table) == _bits(by_block[f][j - 1][: len(table)]), (f.text, j)
+            assert _bits(table) == _bits(by_block[f][j - 2][: len(table)]), (f.text, j)
             # The row-by-row sums lie within the carried bound of the table.
-            rows = by_row[f][j - 1][: len(table)]
+            rows = by_row[f][j - 2][: len(table)]
             assert (abs(table[:, 0] - rows[:, 0]) <= table[:, 2]).all(), (f.text, j)
+    # The sums lie within their bound of the exact marked-cherry sum.
+    for f in (S1, S1SQ):
+        newton = _Newton.of(f, f.degree())
+        for n, (value, _mass, error) in enumerate(by_block[f][0].tolist()[2:], 2):
+            assert abs(Fraction(value) - newton.expectation(n)) <= Fraction(error), (f.text, n)
+
+    # An entry of S1^40 takes the sum from 40^2 / 8 = 200 on, and below that
+    # the block product over its level-1 table, whatever range a fill covers.
+    f = parse("S1^40")
+    table = ExpectationEngine()._level(_FLOAT, f, 2, 500)
+    level_1 = _float_leaves([0] + [f.evaluate((n,)) for n in range(1, 100)])
+    kernel = _float_steps(2, 199, [level_1])[0]
+    sums = _Newton.of(f, 40).float_rows(np.arange(200, 501))
+    assert _bits(table[2:]) == _bits(np.concatenate([kernel, sums]))
 
     laws = _float_laws(4000, 2)
     expected = {s: x for s, x in enumerate(laws[-1].tolist()) if x}
@@ -235,8 +257,11 @@ def test_float_tables_and_laws_equal_the_block_product():
 
 def test_float_tables_do_not_depend_on_fill_history():
     # Extensions that cross weight-block boundaries give the bits of one
-    # cold fill, at every level, for one-variable and split observables.
-    fs = [S1, S1SQ, RATIO]
+    # cold fill, at every level, for one-variable and split observables,
+    # and for S1^40, whose level-2 entries take the marked-cherry sum from
+    # magnitude 200 on: its first fill, to 150, steps every entry over its
+    # level-1 table, and the next, to 350, only those below 200.
+    fs = [S1, S1SQ, RATIO, parse("S1^40")]
     cold, extended = ExpectationEngine(), ExpectationEngine()
     for n in (300, 700, 1300, 2600, 4000):
         for f in fs:
@@ -245,11 +270,12 @@ def test_float_tables_do_not_depend_on_fill_history():
                 if n == 4000:
                     cold.expectation_float(n, r, f)
     keys = [key for key in cold._tables if key[0] is _FLOAT]
-    assert {(f, j) for _, f, j in keys} == {(f, j) for f in fs for j in (1, 2, 3, 4)}
+    levels = {(f, j) for f in fs for j in (2, 3, 4)} | {(RATIO, 1), (fs[3], 1)}
+    assert {(f, j) for _, f, j in keys} == levels
     assert set(keys) == {key for key in extended._tables if key[0] is _FLOAT}
     for key in keys:
         table = cold._tables[key]
-        assert len(table) == (2001 if key[2] > 1 else 1001), key[1:]
+        assert len(table) == (2001 if key[2] > 1 else 1001 if key[1] == RATIO else 100), key[1:]
         assert _bits(table) == _bits(extended._tables[key]), (key[1].text, key[2])
 
     warm = ExpectationEngine()
@@ -312,8 +338,9 @@ def test_one_weight_buffer_per_sweep_keeps_the_bits(monkeypatch):
 
 def test_split_order_1_fills_take_the_block_step(monkeypatch):
     # The float order-1 table of a split f is, magnitude by magnitude, the
-    # combination of its parts' order-2 entries, which block products fill:
-    # the bits do not depend on which table a part's step fills.
+    # combination of its parts' order-2 entries, which block products or,
+    # for a polynomial part, marked-cherry sums fill: the bits do not depend
+    # on which table a part's step fills.
     engine = ExpectationEngine()
     for f in (RATIO, parse("S1*S2-S3")):
         engine.expectation_float(3000, 2, f)
@@ -326,6 +353,11 @@ def test_split_order_1_fills_take_the_block_step(monkeypatch):
             for n in range(2, 1501)
         ]
         assert _bits(table[2:]) == _bits(np.array(combined)), f.text
+    # The part S1 of both is a one-variable polynomial: its level-2 rows are
+    # the marked-cherry sum, and no level-1 table of S1 is built.
+    sums = _Newton.of(S1, 1).float_rows(np.arange(2, 1501))
+    assert _bits(engine._tables[_FLOAT, S1, 2][2:]) == _bits(sums)
+    assert (_FLOAT, S1, 1) not in engine._tables
 
     # A fill makes no per-entry step; a cold query steps once, for its own entry.
     calls = []
@@ -342,13 +374,13 @@ def test_split_order_1_fills_take_the_block_step(monkeypatch):
 
 def test_split_order_1_fills_build_each_block_once(monkeypatch):
     # One sweep steps every part of a split f over a fill range, so a cold
-    # query builds each weight block, or each exact row, of a fill once: the
-    # part S2's order-1 table to n // 4 (its one part S1), the order-1 table
-    # of f to n // 2 (both parts) and the query's own row. An exact part S1
-    # is a one-variable polynomial, whose order-2 entries are the
-    # marked-cherry sum: the part S2's table to n // 4 builds no row, and
-    # f's table to n // 2 builds its rows for the part S2 alone. The float
-    # tables have the bits of one sweep per part.
+    # query builds each weight block, or each exact row, of a fill once. The
+    # part S1 is a one-variable polynomial, whose order-2 entries are the
+    # marked-cherry sum in both modes: the part S2's order-1 table to n // 4
+    # (its one part S1) builds no block or row, and the order-1 table of f
+    # to n // 2 builds its blocks or rows for the part S2 alone, and so
+    # does the query's own entry. The float tables have the bits of one
+    # sweep per part.
     f = parse("S1*S2-S3")
     built, rows = [], []
     weight_block, multiplicity_row = comb._weight_block, comb.multiplicity_row
@@ -362,9 +394,8 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
         return multiplicity_row(n)
 
     expected = [
-        (max(2, a), min(hi, a + len(block) - 1))
-        for hi in (1000, 2000)
-        for a, block in comb.float_weight_blocks(2, hi)
+        (max(2, a), min(2000, a + len(block) - 1))
+        for a, block in comb.float_weight_blocks(2, 2000)
     ]
     engine = ExpectationEngine()
     with monkeypatch.context() as patch:
@@ -377,7 +408,8 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
 
     split_f = engine._split(f)
     per_part = [
-        _float_steps(2, 2000, [engine._tables[_FLOAT, part, 1]])[0] for part in split_f.parts
+        _float_steps(2, 2000, [engine._below(_FLOAT, part, 2, 2000)])[0]
+        for part in split_f.parts
     ]
     combined = [
         _float_combine(*split_f.weights(n), [part[n - 2].tolist() for part in per_part])
@@ -613,6 +645,75 @@ def test_float_error_bound_holds_on_the_float_grids():
         assert error <= Fraction(est.rel_error_bound) * abs(exact), (f.text, r, n)
 
 
+POLYNOMIALS = (S1, S1SQ, parse("S1^3-2*S1+7"), parse("(S1-1)*S1/2"))
+
+
+def test_float_order_two_builds_no_weights(monkeypatch):
+    # A float query at base order 2 of a one-variable polynomial, and at
+    # order 1 of S2/S1, whose one part is S1, is the marked-cherry sum: it
+    # builds no weight row or block, and no level-1 table.
+    def refuse(*args):
+        raise AssertionError("a weight row or block was built")
+
+    monkeypatch.setattr(comb, "float_weight_blocks", refuse)
+    monkeypatch.setattr(comb, "float_weight_row", refuse)
+    engine = ExpectationEngine()
+    for f in POLYNOMIALS:
+        for n in (2, 10, 3000, 10**6):
+            engine.expectation_float(n, 2, f)
+    engine.expectation_float(3000, 1, RATIO)
+    engine.bifurcation_ratio(10**4, 1, S1, "float")
+    assert engine._tables == {}
+
+
+def test_float_sums_hold_their_bound_at_a_billion():
+    # No kernel row reaches n = 10^9 (it would hold 5 10^8 weights); the
+    # float sum lies within its bound of the exact one.
+    engine = ExpectationEngine()
+    for f in POLYNOMIALS:
+        newton = _Newton.of(f, f.degree())
+        for n in (10**6, 10**9):
+            exact = newton.expectation(n)
+            est = engine.expectation_float(n, 2, f)
+            assert est.rel_error_bound < 1e-14, (f.text, n)
+            error = abs(Fraction(est.value) - exact)
+            assert error <= Fraction(est.rel_error_bound) * abs(exact), (f.text, n)
+
+
+def test_float_bound_holds_for_polynomials_with_negative_terms():
+    engine = ExpectationEngine(exact_limit=10**4)
+    for f in POLYNOMIALS[2:]:
+        for r in (2, 3, 4):
+            for n in [*range(1, 41), 300, 10**4]:
+                exact = engine.expectation_exact(n, r, f)
+                est = engine.expectation_float(n, r, f)
+                error = abs(Fraction(est.value) - exact)
+                assert error <= Fraction(est.rel_error_bound) * abs(exact), (f.text, r, n)
+
+
+def test_float_sums_leave_to_the_kernel_where_it_answers_better(monkeypatch):
+    # A centred f, whose terms cancel, takes the kernel's row and its bound;
+    # S1^120 at n = 2000 does not fit a float either way; 171! does not fit
+    # a float, so no entry of S1^171 takes the sum.
+    f = parse("(S1-500)^10")
+    engine = ExpectationEngine()
+    assert np.isnan(_Newton.of(f, 10).float_rows(np.array([2000]))).all()
+    level_1 = engine._level(_FLOAT, f, 1, 1000)
+    assert engine.expectation_float(2000, 2, f) == ExpectationEngine().expectation_float(
+        2000, 2, f
+    )
+    value, _mass, error = _float_step(2000, level_1)
+    assert engine.expectation_float(2000, 2, f) == (value, error / abs(value))
+    with pytest.raises(OverflowError):
+        ExpectationEngine().expectation_float(2000, 2, parse("S1^120"))
+    assert np.isnan(_Newton.of(parse("S1^171"), 171).float_rows(np.arange(2, 10))).all()
+    with pytest.raises(OverflowError):
+        ExpectationEngine().expectation_float(4000, 2, parse("S1^171"))
+    # Past 2^52 the linear factors are not exact floats: the sum stops.
+    assert not np.isnan(_Newton.of(S1, 1).float_rows(np.array([2**52]))).any()
+    assert np.isnan(_Newton.of(S1, 1).float_rows(np.array([2**52 + 2]))).all()
+
+
 def test_kernel_only_observables_keep_the_kernel(engine):
     # Observables that divide by a variable are not polynomials: they answer
     # as the oracle does (0/0 = 0, and a raise where some tree divides a
@@ -620,7 +721,7 @@ def test_kernel_only_observables_keep_the_kernel(engine):
     fresh = ExpectationEngine()
     for text in ("S1/S1", "1/S1", "S1^2/S1", "1/(1/S1)"):
         f = parse(text)
-        assert split.split_first(f).degree() is None
+        assert f.degree() is None
         for r in (2, 3, 4):
             for n in range(1, ORACLE_LIMIT + 1):
                 try:

@@ -15,7 +15,6 @@ from strahler import combinatorics as comb
 from strahler import gf
 from strahler.expectations import _EXACT, ExpectationEngine, _Newton, _series_pays
 from strahler.observables import parse
-from strahler.split import split_first
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "strahler"
 
@@ -51,7 +50,7 @@ def _kernel(n, r, f):
 
 
 def _degree(f):
-    return split_first(f).degree()
+    return f.degree()
 
 
 def _series(engine, n, r, f):
