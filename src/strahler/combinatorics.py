@@ -74,19 +74,10 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(n - 2, q) << q
 
 
-def multiplicity_row(n: int) -> np.ndarray:
-    """multiplicity(n, m) over 0 <= m <= n//2 as an object array of ints.
-
-    The counting twin of ``float_weight_row``, laid out the same way: m = 0
-    holds 0 for n >= 2, and below magnitude 2 the row is δ_0. The entries
-    are those of ``scaled_multiplicities(n, 1)``.
-    """
-    return np.array(scaled_multiplicities(n, 1), dtype=object)
-
-
 def scaled_multiplicities(n: int, x: int) -> list:
     """x * multiplicity(n, m) over 0 <= m <= n//2 as a list of ints, laid
-    out as ``multiplicity_row``: [x] below magnitude 2.
+    out as ``float_weight_row``: m = 0 holds 0 for n >= 2, and below
+    magnitude 2 the row is [x], x times δ_0.
 
     Each entry follows from the one before it, q = n - 2m going down by
     two, by the ratio q(q-1) / (4(n-q)(n-q-1)) of consecutive terms: one

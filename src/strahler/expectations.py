@@ -40,7 +40,7 @@ independent oracle:
   (j+1) / (2(2j-1)) over j = n-k..n-1: a query forms no Catalan number
   (``_Newton``). The level-2 table entry at magnitude m >= 1 is the
   integer sum_k Δ^k f(0) C(m-k, k) c_{m-k-1}, so a fill or an entry steps
-  over f's Newton form where it would step over a row (``_exact_step``),
+  over f's Newton form where it would step over a table (``_exact_steps``),
   for the levels above and, at order 1, for the parts of a split f that
   are such polynomials (the part S1 of ``S2/S1`` and of ``S1*S2-S3``).
   Past K^2 = 8 n the form's K (K + 1) / 2 differences cost more than a
@@ -50,9 +50,10 @@ independent oracle:
   ``_Newton.float_rows``), so a float query at r = 2 builds no weight row
   and no level-1 table. A float entry
   whose sum is not finite, or whose bound is worse than a kernel step's
-  could be (terms that cancel), takes the kernel step instead, as does
-  one of magnitude m < K^2 / 8: the route of a float entry depends on its
-  magnitude alone.
+  could be (terms that cancel), takes the block step of a table entry
+  instead, as does one of magnitude m < K^2 / 8: the route and bits of a
+  float entry depend on its magnitude alone, whether a fill or a query
+  asks for it.
 * In exact mode, at base order r >= 3 such an f reads the coefficient of
   z^n in its generating function instead, where the operation counts of
   ``_series_pays`` say that is cheaper than the kernel: never at r = 3,
@@ -70,7 +71,7 @@ independent oracle:
   magnitude continues from the last law an earlier query left. An exact
   step is plain int arithmetic on a list: each weighted magnitude k adds
   its weight x times multiplicity(k, .), walked scaled by x
-  (``comb.scaled_multiplicities``, the walk behind ``multiplicity_row``).
+  (``comb.scaled_multiplicities``, the walk an exact kernel step dots).
 
 Every public query resolves its mode once, in ``_arithmetic``: auto is exact
 up to ``exact_limit`` and float past it, where it warns once, at the caller
@@ -86,8 +87,9 @@ part: a row and a dot per entry and table when exact, and in float mode, as
 for a pushed law, one matrix product per table and block of a fixed
 partition of the magnitudes (``comb.float_weight_blocks``) at the block's
 full shape, each row or block built once, and only if some table the sweep
-steps over is not a Newton form. A query's own entry is one row's dot
-(``step``), or its Newton form's sum.
+steps over is not a Newton form. A query's own entry (``step``) is that
+sweep over its magnitude alone, except a float entry over a table: one
+row's dot, settled as a block's rows are.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -260,7 +262,9 @@ class _Arithmetic(NamedTuple):
     An exact table entry is an int count, or a Fraction for a rational f;
     a float entry is (value, |value|, absolute error bound), so one kernel
     product yields the sum, its absolute mass and the propagated error.
-    Every table fill is ``steps``; a query's own entry is one row's dot.
+    Every table fill is ``steps``, and a query's own entry is ``steps``
+    over its magnitude alone, except a float entry over a table, which is
+    one row's dot.
     """
 
     name: str  # "exact" or "float"
@@ -624,23 +628,22 @@ def _float_combine(weights: list, scale: int, entries: list) -> tuple:
 
 
 def _exact_step(n: int, below):
-    """multiplicity_row(n) @ below, or the count of a Newton form."""
-    if isinstance(below, _Newton):
-        return below.count(n)
-    return comb.multiplicity_row(n) @ below[: n // 2 + 1]
+    """K(n, .) . below: the sweep ``_exact_steps`` over magnitude n alone."""
+    return _exact_steps(n, n, [below])[0][0]
 
 
 def _exact_steps(lo: int, hi: int, tables: list) -> list:
-    """Per table, the rows multiplicity_row(n) @ table of n = lo..hi >= 2,
-    each multiplicity row built once for every table, and built only if
-    some table is not a Newton form, which counts without one."""
+    """Per table, the rows multiplicity(n, .) . table of n = lo..hi >= 2,
+    the multiplicities of each n walked once for every table
+    (``comb.scaled_multiplicities(n, 1)``), and walked only if some table
+    is not a Newton form, which counts without them."""
     steps = [[] for _ in tables]
     rows_needed = not all(isinstance(below, _Newton) for below in tables)
     for n in range(lo, hi + 1):
-        row = comb.multiplicity_row(n) if rows_needed else None
+        row = comb.scaled_multiplicities(n, 1) if rows_needed else None
         for below, rows in zip(tables, steps):
             rows.append(below.count(n) if isinstance(below, _Newton)
-                        else row @ below[: n // 2 + 1])
+                        else sum(map(operator.mul, row, below[: n // 2 + 1])))
     return [np.array(rows, dtype=object) for rows in steps]
 
 
@@ -670,13 +673,10 @@ def _float_settle(ns: np.ndarray, dots: np.ndarray) -> np.ndarray:
 
 def _float_step(n: int, below) -> tuple:
     """The entry w(n, .) @ below of one magnitude, by one row's dot, settled
-    as a block's rows are; over a Newton form, its sum, or where that is NaN
-    (``_Newton.float_rows``), the row's dot over the form's level-1 table."""
+    as a block's rows are; over a Newton form, the fill's entry at n
+    (``_float_sum``), so an entry that leaves the sum has a table's bits."""
     if isinstance(below, _Newton):
-        row = below.float_rows(np.array([n]))[0]
-        if not math.isnan(row[0]):
-            return tuple(row.tolist())
-        below = below.kernel(n // 2)
+        return tuple(_float_sum(n, n, below)[0].tolist())
     total, mass, error = (comb.float_weight_row(n) @ below[: n // 2 + 1]).tolist()
     return total, abs(total), error + mass * float(_step_error(n))
 

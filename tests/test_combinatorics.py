@@ -31,19 +31,21 @@ def test_multiplicity_examples():
 
 def test_multiplicities_row_matches_multiplicity():
     for n in range(2, 120):
-        assert comb.multiplicity_row(n).tolist() == [0] + [
+        assert comb.scaled_multiplicities(n, 1) == [0] + [
             comb.multiplicity(n, m) for m in range(1, n // 2 + 1)
         ]
-    assert comb.multiplicity_row(1).tolist() == [1]  # δ_0, like float_weight_row
+    assert comb.scaled_multiplicities(1, 1) == [1]  # δ_0, like float_weight_row
 
 
 def test_scaled_multiplicities_are_the_row_scaled():
-    # The one term walk behind multiplicity_row, carried scaled by x, as the
-    # exact forward push reads it.
+    # The one term walk, carried scaled by x, as the exact kernel step
+    # (x = 1) and the exact forward push read it.
     for n in range(0, 301):
-        row = comb.multiplicity_row(n).tolist()
         for x in (1, 2, 7, 3**40, 2**200 + 1):
-            assert comb.scaled_multiplicities(n, x) == [x * mu for mu in row], (n, x)
+            row = [x] if n < 2 else [0] + [
+                x * comb.multiplicity(n, m) for m in range(1, n // 2 + 1)
+            ]
+            assert comb.scaled_multiplicities(n, x) == row, (n, x)
 
 
 def test_multiplicity_out_of_range_is_zero():
@@ -98,7 +100,7 @@ def test_float_weight_row_within_the_engines_weight_error():
     # exact weight is at least 2^-1070, and zero wherever it is below 2^-1080.
     for n in (2, 3, 17, 100, 1000, 1100, 3000, 4000):
         row = comb.float_weight_row(n)
-        counts = comb.multiplicity_row(n)
+        counts = comb.scaled_multiplicities(n, 1)
         total = comb.catalan(n - 1)
         bound = Fraction(_weight_error(n))
         assert len(row) == n // 2 + 1 and row[0] == 0

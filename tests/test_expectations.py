@@ -383,15 +383,15 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
     # sweep per part.
     f = parse("S1*S2-S3")
     built, rows = [], []
-    weight_block, multiplicity_row = comb._weight_block, comb.multiplicity_row
+    weight_block, scaled_multiplicities = comb._weight_block, comb.scaled_multiplicities
 
     def counting_block(a, b, *args):
         built.append((a, b))
         return weight_block(a, b, *args)
 
-    def counting_row(n):
+    def counting_row(n, x):
         rows.append(n)
-        return multiplicity_row(n)
+        return scaled_multiplicities(n, x)
 
     expected = [
         (max(2, a), min(2000, a + len(block) - 1))
@@ -400,7 +400,7 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
     engine = ExpectationEngine()
     with monkeypatch.context() as patch:
         patch.setattr(comb, "_weight_block", counting_block)
-        patch.setattr(comb, "multiplicity_row", counting_row)
+        patch.setattr(comb, "scaled_multiplicities", counting_row)
         engine.expectation_float(4000, 2, f)
         ExpectationEngine().expectation_exact(300, 2, f)
     assert built == expected + [(4000, 4000)]
@@ -702,7 +702,7 @@ def test_float_sums_leave_to_the_kernel_where_it_answers_better(monkeypatch):
     assert engine.expectation_float(2000, 2, f) == ExpectationEngine().expectation_float(
         2000, 2, f
     )
-    value, _mass, error = _float_step(2000, level_1)
+    value, _mass, error = _float_steps(2000, 2000, [level_1])[0][0].tolist()
     assert engine.expectation_float(2000, 2, f) == (value, error / abs(value))
     with pytest.raises(OverflowError):
         ExpectationEngine().expectation_float(2000, 2, parse("S1^120"))
@@ -712,6 +712,18 @@ def test_float_sums_leave_to_the_kernel_where_it_answers_better(monkeypatch):
     # Past 2^52 the linear factors are not exact floats: the sum stops.
     assert not np.isnan(_Newton.of(S1, 1).float_rows(np.array([2**52]))).any()
     assert np.isnan(_Newton.of(S1, 1).float_rows(np.array([2**52 + 2]))).all()
+
+
+def test_float_entries_that_leave_the_sum_have_the_tables_bits():
+    # A query's own entry over a Newton form is the fill's entry at its
+    # magnitude: where the sum leaves to the kernel, both take one block
+    # step over f's level-1 table, with the same bits.
+    f = parse("(S1-500)^10")
+    for n in (2000, 4001):
+        assert np.isnan(_Newton.of(f, 10).float_rows(np.array([n]))).all()
+        value, _mass, error = ExpectationEngine()._level(_FLOAT, f, 2, n)[n].tolist()
+        est = ExpectationEngine().expectation_float(n, 2, f)
+        assert _bits(np.array(est)) == _bits(np.array([value, error / abs(value)])), n
 
 
 def test_kernel_only_observables_keep_the_kernel(engine):
@@ -850,7 +862,7 @@ def test_order_one_polynomial_parts_take_the_marked_cherry_sum(monkeypatch):
     f = RATIO
     engine = ExpectationEngine(exact_limit=1000)
     with monkeypatch.context() as patch:
-        patch.setattr(comb, "multiplicity_row", None)
+        patch.setattr(comb, "scaled_multiplicities", None)
         for n in (1000, 10, 999):
             engine.expectation_exact(n, 1, f)
     assert engine._tables == {} and list(engine._newtons) == [S1]

@@ -140,7 +140,7 @@ def test_order_two_takes_the_marked_cherry_sum(monkeypatch):
     # and never asks the series' cost model.
     engine = ExpectationEngine(exact_limit=1000)
     with monkeypatch.context() as patch:
-        for name in ("multiplicity_row", "scaled_multiplicities", "multiplicity"):
+        for name in ("scaled_multiplicities", "multiplicity"):
             patch.setattr(comb, name, None)
         patch.setattr("strahler.expectations._series_pays", None)
         queries = [(text, n) for text in POLYNOMIALS + ("S1/(S1-S1+1)",)
