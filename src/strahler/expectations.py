@@ -54,18 +54,14 @@ independent oracle:
   instead, as does one of magnitude m < K^2 / 8: the route and bits of a
   float entry depend on its magnitude alone, whether a fill or a query
   asks for it.
-* In exact mode, at base order r >= 3 such an f reads the coefficient of
-  z^n in its generating function instead, where the operation counts of
-  ``_series_pays`` say that is cheaper than the kernel: never at r = 3,
-  where the kernel over the sum's level-2 table is linear in n, and from
-  about n = 10 K 2^(r-1) at r >= 4 (n = 88 for ``S1`` at r = 4). Where
-  K = 1 does not pay, no K does, and f's degree is not read; elsewhere a
-  constant, ``0*S1`` included, is its own expectation. The series
-  (``gf``) follows from f's values alone and is exact, so the answer is
-  the same value either way. A float query at r >= 3 steps over the sum's
-  level-2 table. Observables that divide by a variable (``S1/S1``,
-  ``1/S1``) or pass the term limit, several variables and distributions
-  stay on the kernel.
+* In exact mode, at base order r >= 3 such an f answers by the t-sum over
+  the same Newton form (``_Newton.t_sum``): with z = t/(1+t)^2 the
+  magnitude recursion is t -> t^2, and E_n[f at r] is a sum of at most
+  n / 2^(r-1) ballot-number terms, which reads no kernel row or table.
+  Where the form's bound K^2 <= 8 n refuses f, the kernel answers. A
+  float query at r >= 3 steps over the sum's level-2 table. Observables
+  that divide by a variable (``S1/S1``, ``1/S1``) or pass the term limit,
+  several variables and distributions stay on the kernel.
 * ``distribution`` pushes δ_n forward through r - 1 kernel steps. Every
   pushed law is memoised per (mode, n, step), so a higher order of the same
   magnitude continues from the last law an earlier query left. An exact
@@ -75,7 +71,11 @@ independent oracle:
 
 Every public query resolves its mode once, in ``_arithmetic``: auto is exact
 up to ``exact_limit`` and float past it, where it warns once, at the caller
-of the query; an explicit exact query past the ceiling raises.
+of the query; an explicit exact query past the ceiling raises. Past
+magnitude 2^52 (``FLOAT_SUM_LIMIT``) the float marked-cherry sum stops, and
+a float entry would step over a row or a table of more than 2^51 entries,
+as would a law of either mode: such a query raises before it allocates,
+unless it is f(n) of a one-variable f at order 1.
 
 The modes differ only in data (``_Arithmetic``). Exact mode counts: its rows
 hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
@@ -95,11 +95,11 @@ The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
 rebound, hashes and compares by its AST and is never printed. Results do
 not depend on call order. A fill assigns a longer table under its key and
-never mutates one, and so does a series store, keyed by (observable,
-order); every entry is a pure function of the key and its magnitude, which
-keeps concurrent use safe under the usual dict atomicity. In float mode that
-holds to the bit, since a product's summation order depends on its shape
-alone and a block's shape not on the range a fill covers. Each
+never mutates one; every entry is a pure function of the key and its
+magnitude, which keeps concurrent use safe under the usual dict atomicity.
+In float mode that holds to the bit, since a product's summation order
+depends on its shape alone and a block's shape not on the range a fill
+covers. Each
 observable's split is made once per engine and kept. Magnitudes below 2
 are read off their window, (n, 0, ...) at order 1 and all zeros above;
 every other entry is one kernel step. No row of
@@ -129,6 +129,9 @@ from .trees import join
 DEFAULT_EXACT_LIMIT = 300
 # The oracle's ceiling; it tallies distinct profiles (195 at n = 40), not shapes.
 ORACLE_LIMIT = 40
+# The float marked-cherry sum's last magnitude, where its linear factors stop
+# being exact floats; past it a float entry steps over 2^51 weights or more.
+FLOAT_SUM_LIMIT = 2**52
 _EPS = sys.float_info.epsilon
 
 
@@ -145,21 +148,11 @@ class FloatEstimate(NamedTuple):
     rel_error_bound: float
 
 
-class _Series(NamedTuple):
-    """The stored series of a polynomial f at one base order: E_n[f] is
-    offset + coeffs[n] / (scale c_{n-1}), coeffs integer."""
-
-    offset: object  # f(0), an int or Fraction
-    scale: int
-    num: list
-    den: list
-    coeffs: list
-
-
 class _Newton(NamedTuple):
     """A one-variable polynomial f of degree K in Newton's form,
     f(s) = sum_k diffs[k] C(s, k) / scale with diffs[k] = scale Δ^k f(0),
-    k = 0..K, integers: its base-2 answers are the marked-cherry sum. As
+    k = 0..K, integers: its base-2 answers are the marked-cherry sum, and
+    its exact answers at every base order the t-sum (``t_sum``). As
     what a level-2 entry steps over (``ExpectationEngine._below``), it
     carries ``kernel``, top -> f's level-1 table over 0..top, for the float
     entries the sum leaves to a kernel step (``float_rows``)."""
@@ -202,6 +195,65 @@ class _Newton(NamedTuple):
                 den *= divisor
             total += d * ratio
         return Fraction(total, den * self.scale)
+
+    def t_sum(self, n: int, r: int) -> Fraction:
+        """E_n[f at base r] for n >= 1 and 1 <= r <= n.bit_length() + 1, by
+        the t-sum: with M = 2^(r-1),
+
+            n (2n-1) c_{n-1} (E_n[f at r] - f(0))
+                = sum_{k=1..n/M} a(k) (2 k^2 M^2 - n) C(2n, n-kM),
+            a(k) = sum_{i=1..K} Δ^i f(0) c_{i-1} C(k+i-1, 2i-1).
+
+        Let F_r(z) = sum_n c_{n-1} (E_n[f at r] - f(0)) z^n and put
+        z = t/(1+t)^2, so that sqrt(1-4z) = (1-t)/(1+t) and
+        1-2z = (1+t^2)/(1+t)^2. A magnitude-n tree collapses onto a
+        magnitude-m one in multiplicity(n, m) = C(n-2, n-2m) 2^(n-2m) ways,
+        whose sum over n against z^n is (1-2z) u^m, u = z^2/(1-2z)^2, and
+        u is z at t^2. So the recursion is F_r(t) = (1+t^2)/(1+t)^2
+        F_{r-1}(t^2) (de Bruijn, Knuth & Rice, 1972; Flajolet, Raoult &
+        Vuillemin, TCS 9, 1979), which telescopes, with s = t^M, to
+
+            F_r(t) = (1-t)(1+s) / ((1+t)(1-s)) F_1(s).
+
+        At order 1, C(S1, i) has sum_m C(m, i) c_{m-1} z^m =
+        c_{i-1} z^i (1-4z)^(1/2-i): this is (z^i / i!) B^(i)(z) for
+        B = (1 - sqrt(1-4z)) / 2, and in t it is
+        c_{i-1} t^i / ((1+t)(1-t)^(2i-1)). Newton's series
+        f - f(0) = sum_i Δ^i f(0) C(S1, i) then gives
+
+            F_r = sqrt(1-4z) sum_i Δ^i f(0) c_{i-1} s^i / (1-s)^(2i)
+                = sqrt(1-4z) sum_{k >= 1} a(k) t^(kM),
+
+        as s^i / (1-s)^(2i) = sum_k C(k+i-1, 2i-1) s^k. Lagrange inversion
+        of z = t/(1+t)^2 (Flajolet & Sedgewick, *Analytic Combinatorics*,
+        2009, §I.5) gives n [z^n] sqrt(1-4z) t^j = (2j^2 - n) C(2n, n-j) /
+        (2n-1), zero for j > n, and n (2n-1) c_{n-1} = n C(2n, n) / 2.
+
+        a is a polynomial of degree 2K - 1 in k whose differences at 0 are
+        Δ^j a(0) = sum_i Δ^i f(0) c_{i-1} C(i-1, 2i-1-j), i <= j < 2i, so
+        its values come off a difference table, 2K - 1 additions each. The
+        binomials are walked as k falls, from i = n - (n/M) M up to n:
+        C(2n, i+M) = C(2n, i) (2n-i)! / (2n-i-M)! i! / (i+M)!, one product
+        and one exact division each. At M = 1 the sum is f(n)."""
+        diffs, step = self.diffs, 1 << (r - 1)
+        degree, top = len(diffs) - 1, n // step
+        if not degree:  # a constant
+            return Fraction(diffs[0], self.scale)
+        table = [sum(d * comb.catalan(i - 1) * math.comb(i - 1, 2 * i - 1 - j)
+                     for i, d in enumerate(diffs) if i <= j < 2 * i)
+                 for j in range(2 * degree)]
+        values = []  # a(1), ..., a(top)
+        for _ in range(top):
+            for j in range(2 * degree - 1):
+                table[j] += table[j + 1]
+            values.append(table[0])
+        i, total = n - top * step, 0
+        binom = math.comb(2 * n, i)
+        for k in range(top, 0, -1):
+            total += values[k - 1] * (2 * (k * step) ** 2 - n) * binom
+            binom = binom * math.perm(2 * n - i, step) // math.perm(i + step, step)
+            i += step
+        return Fraction(2 * total + diffs[0] * n * binom, n * binom * self.scale)
 
     def float_rows(self, ns: np.ndarray) -> np.ndarray:
         """Float table rows (value, |value|, error) of E_m[f at base 2] for
@@ -251,7 +303,7 @@ class _Newton(NamedTuple):
             degree = len(coeffs) - 1
             error *= np.where(m * m > 2.0**53, 5 * degree + 2, 3 * degree + 2) * _EPS
             kept = np.isfinite(total) & (error <= _step_error(m) * np.abs(total, out=size))
-        kept &= (degree * degree <= 8 * m) & (m <= 2.0**52)
+        kept &= (degree * degree <= 8 * m) & (m <= FLOAT_SUM_LIMIT)
         rows[~kept] = math.nan
         return rows
 
@@ -291,7 +343,6 @@ class ExpectationEngine:
         self._profiles: dict[int, Counter] = {}
         self._tables: dict = {}
         self._laws: dict = {}
-        self._series: dict = {}
         self._splits: dict = {}
         self._degrees: dict = {}
         self._newtons: dict = {}
@@ -332,14 +383,9 @@ class ExpectationEngine:
 
     def expectation_exact(self, n: int, r: int, f: Observable) -> Fraction:
         self._arithmetic(n, r, "exact")
-        if r == 2 and (newton := self._newton(f, n)):
-            return newton.expectation(n)
-        if r > 2 and f.arity == 1 and _series_pays(n, r, 1):
-            degree = self._degree(f)
-            if degree == 0:  # a constant
-                return Fraction(f.evaluate((0,)))
-            if degree and _series_pays(n, r, degree):
-                return self._expect_series(n, r, f, degree)
+        if r > 1 and (newton := self._newton(f, n)):
+            r = min(r, n.bit_length() + 1)  # past this order every window is all zeros
+            return newton.expectation(n) if r == 2 else newton.t_sum(n, r)
         return Fraction(self._expect(_EXACT, n, r, f), comb.catalan(n - 1))
 
     def expectation_float(self, n: int, r: int, f: Observable) -> FloatEstimate:
@@ -351,8 +397,14 @@ class ExpectationEngine:
         return FloatEstimate(value, math.inf if error else 0.0)
 
     def _expect(self, arith: _Arithmetic, n: int, r: int, f: Observable):
-        """The entry V_r(n) of f; only the levels below r are stored."""
+        """The entry V_r(n) of f; only the levels below r are stored. A
+        float entry past ``FLOAT_SUM_LIMIT`` raises, unless it is f(n)."""
         r = min(r, n.bit_length() + 1)  # past this order every window is all zeros
+        if arith is _FLOAT and n > FLOAT_SUM_LIMIT and (r > 1 or f.arity > 1):
+            raise LimitExceededError(
+                f"magnitude {n} exceeds 2^52, past which a float entry steps "
+                "over more than 2^51 weights"
+            )
         return self._entry(arith, f, r, n, self._below(arith, f, r, n))
 
     def _level(self, arith: _Arithmetic, f: Observable, j: int, top: int):
@@ -423,8 +475,11 @@ class ExpectationEngine:
         one-variable polynomial of degree K with K^2 <= 8 n; else None. The
         form takes f at 0..K and K (K + 1) / 2 differences of those values;
         past that bound a row of n // 2 terms costs less or about the same
-        (cold queries of S1^K meet near K = 60 at n = 300 and past K = 150
-        at n = 1000). A fill to n takes the form for all its entries when
+        (cold queries of S1^K at r = 2 meet near K = 60 at n = 300 and past
+        K = 150 at n = 1000). The bound is the form's only gate: an exact
+        query at r >= 2 takes it wherever it holds, by the marked-cherry sum
+        at r = 2 and by the t-sum above (``_Newton.t_sum``), and else the
+        kernel answers. A fill to n takes the form for all its entries when
         exact, and in float mode for those of magnitude m with K^2 <= 8 m
         (``_Newton.float_rows``)."""
         degree = self._degree(f)
@@ -454,33 +509,6 @@ class ExpectationEngine:
         if weights:
             return arith.combine(*weights, list(parts))
         return arith.step(n, self._level(arith, f.bind_first(n), 1, n // 2))
-
-    def _expect_series(self, n: int, r: int, f: Observable, degree: int) -> Fraction:
-        """E_n[f at base r >= 2] for a polynomial f of the given degree >= 1,
-        read off the series of ``gf``: c_{m-1} (f(m) - f(0)), m = 0..degree,
-        scaled to integers, give N_1, lifted to N_r. A store grows to at
-        least 5/4 of its length and, like a level table, is assigned longer
-        and never mutated."""
-        from . import gf  # on first use, so that set-up does not load it
-
-        key = (f, r)
-        series = self._series.get(key)
-        if series is None:
-            offset = f.evaluate((0,))
-            head = [0] + [
-                (f.evaluate((m,)) - offset) * comb.catalan(m - 1)
-                for m in range(1, degree + 1)
-            ]
-            scale = math.lcm(*(Fraction(x).denominator for x in head))
-            head = [int(x * scale) for x in head]
-            num = gf.lift(gf.numerator(head, gf.denominator(degree, 1)), degree, r)
-            series = _Series(offset, scale, num, gf.denominator(degree, r), [])
-        size = len(series.coeffs)
-        if size <= n:
-            coeffs = gf.extend(series.num, series.den, series.coeffs, max(n, size + size // 4))
-            series = series._replace(coeffs=coeffs)
-        self._series[key] = series
-        return Fraction(series.coeffs[n], series.scale * comb.catalan(n - 1)) + series.offset
 
     def expectation(self, n: int, r: int, f: Observable, mode: str = "auto"):
         """Dispatch by mode; auto switches to float past the exact ceiling."""
@@ -523,6 +551,10 @@ class ExpectationEngine:
         """P_n(S_r = s) over the nonzero support, exact, float or auto."""
         _validate_query(n, r)  # a bad n or r is reported ahead of a bad mode
         arith = self._arithmetic(n, r, mode)
+        if n > FLOAT_SUM_LIMIT:
+            raise LimitExceededError(
+                f"magnitude {n} exceeds 2^52, past which a law holds more than 2^52 weights"
+            )
         law = self._law(arith, n, min(r - 1, n.bit_length()))  # then it stays at δ_0
         total = arith.scale(n)
         return {
@@ -567,33 +599,6 @@ def _validate_query(n: int, r: int):
         raise ValueError(f"magnitude must be >= 1, got {n}")
     if r < 1:
         raise ValueError(f"base order must be >= 1, got {r}")
-
-
-def _series_pays(n: int, r: int, degree: int) -> bool:
-    """Whether a cold query at base order r >= 3 costs less by the series
-    than by the kernel, by operation counts. The series takes 2 d_r - K + 1
-    products per coefficient (d_r = K 2^(r-1)), n coefficients in all. The
-    kernel takes n//2 steps at n, the K + 1 terms of the marked-cherry sum
-    per entry of its level-2 table to t = n >> (r - 2), each counted as a
-    step, and floor(t^2/4) steps over each table of levels j = 3..r-1 to
-    t = n >> (r - j); a step (a row entry and a dot term, both of
-    magnitude-sized integers) costs about 2.5 series products. So the
-    kernel is linear in n at r = 3 and always cheaper there, and the series
-    pays from n = 88, 180 and 272 at r = 4 (K = 1, 2, 3), from 156, 312 and
-    470 at r = 5 and from 306, 612 and 920 at r = 6. Cold queries measured
-    at n = 50..1000 in steps of 25 put these crossovers at none for r = 3;
-    75-100, 175-200 and 275-300 for r = 4; 125-150, 275-300 and 475-500 for
-    r = 5; 250-275, 625-650 and past 1000 for r = 6. Where K = 1 does not
-    pay, no K does: a unit of K adds 2 n (2^r - 1) products to the series
-    and (n >> (r - 2)) steps to the kernel. Past order n.bit_length() + 1
-    every window is all zeros, and the kernel is cheaper there."""
-    r = min(r, n.bit_length() + 1)
-    if r < 3:
-        return False
-    per_coefficient = 2 * (degree << (r - 1)) - degree + 1
-    kernel_steps = (n // 2 + (degree + 1) * (n >> (r - 2))
-                    + sum((n >> i) ** 2 // 4 for i in range(1, r - 2)))
-    return 2 * n * per_coefficient <= 5 * kernel_steps
 
 
 def _window_value(arith: _Arithmetic, f: Observable, j: int, n: int):

@@ -623,12 +623,12 @@ def test_cli_imports_no_scipy():
 
 
 def test_cli_import_loads_neither_split_nor_gf():
-    # Both load on an engine's first use; importing the CLI compiles
-    # neither, which keeps start-up flat where no bytecode is written.
+    # The split loads on an engine's first use; importing the CLI does not
+    # compile it, which keeps start-up flat where no bytecode is written.
     script = (
         "import sys\n"
         "import strahler.cli\n"
-        "print(sorted(m for m in ('strahler.split', 'strahler.gf') if m in sys.modules))\n"
+        "print(sorted(m for m in ('strahler.split',) if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
@@ -641,15 +641,14 @@ def test_cli_import_loads_neither_split_nor_gf():
 
 def test_setup_query_loads_no_series():
     # expect --n 12 --r 2 takes the marked-cherry sum, which reads the
-    # degree of S1 off the observable itself and loads neither the split
-    # nor the series module.
+    # degree of S1 off the observable itself and does not load the split.
     script = (
         "import contextlib, io, sys\n"
         "import strahler.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = strahler.cli.main(['expect', '--n', '12', '--r', '2'])\n"
         "assert code == 0, code\n"
-        "print('strahler.split' in sys.modules, 'strahler.gf' in sys.modules)\n"
+        "print('strahler.split' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
@@ -657,7 +656,7 @@ def test_setup_query_loads_no_series():
              "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False"
 
 
 # SHA-256 of stdout, recorded before base-2 answers of one-variable
@@ -718,6 +717,32 @@ def test_order_two_outputs_are_pinned(capsys, command):
     assert _sha256(out) == ORDER_TWO_PINS[command]
 
 
+# SHA-256 of stdout, recorded while exact answers at base order r >= 3 came
+# from the kernel and the generating-function series, before they became
+# the t-sum over f's Newton form.
+HIGHER_ORDER_PINS = {
+    "expect --r 3 --f S1 --mode exact --max-n 1000 --n-grid 100,200,300,400,500,600":
+        "ebff854bee184de2d2bffb70c95ca5c1756e4db1118e386fcae1705d290c3b1b",
+    "expect --r 4 --f S1 --mode exact --max-n 1000 --n-grid 250,500,750,1000":
+        "a3b23c6a4e3d62d894731faf15cb45054d2afbe1ab125e33ac532e3609c27228",
+    "expect --r 3 --f S1^2 --mode exact --max-n 1000 --n-grid 200,300,400":
+        "f0c721fa10ce0dfa157b686b952502b04f6c6de0c1da0eebcc5dd5d251537585",
+    "expect --r 4 --f S1^2 --mode exact --max-n 1000 --n-grid 200,400":
+        "bc9000741be3a409c70e049e31321d474c580c53135f4d4f4829ad63dce31b3e",
+    "expect --r 6 --f 2*S1^2+S1/3-5 --mode exact --max-n 1000 --n-grid 5,88,300,1000":
+        "0f67bc84a2881dcb0895bd27d44cdc3a89d3242fd9b6db2a4bf15202ab5fa8cb",
+    "ratio --r 3 --f S1 --mode exact --max-n 1000 --n-grid 100,300,1000":
+        "8671b7853207d64f69e96b13a1d65cf3606f923f7148cc18ac1e95121ad16bc3",
+}
+
+
+@pytest.mark.parametrize("command", list(HIGHER_ORDER_PINS))
+def test_higher_order_outputs_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert _sha256(out) == HIGHER_ORDER_PINS[command]
+
+
 def test_verify_details_are_pinned(capsys):
     # Every verdict and detail of a reduced run, without its timings and
     # environment, as recorded with the order-two pins above.
@@ -743,6 +768,45 @@ def test_exit_code_resource_limit(capsys):
         capsys, "expect", "--n", "400", "--mode", "exact", "--max-n", "400"
     )
     assert code == 0
+
+
+# Past magnitude 2^52 the float marked-cherry sum stops, and a float entry
+# would step over a row or a table of more than 2^51 entries; so would a law.
+PAST_THE_FLOAT_SUM = (
+    "expect --n 99999999999999999999 --r 3 --mode float",
+    "expect --n 9007199254740993 --r 2 --mode float",
+    "expect --n 9007199254740993 --r 1 --f S2/S1 --mode float",
+    "ratio --n 9007199254740993 --r 1 --mode float",
+    "sample --n 9007199254740993 --r 2 --trials 1",
+    "dist --n 99999999999999999999 --r 2 --mode float",
+)
+
+
+@pytest.mark.parametrize("command", PAST_THE_FLOAT_SUM)
+def test_float_queries_past_the_float_sum_are_a_resource_limit(command):
+    # In a fresh interpreter capped at 1.5 GiB of address space and 60 s, so
+    # that a query which starts to allocate its row or table fails this test
+    # instead of exhausting the machine's memory.
+    script = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, hard))\n"
+        "from strahler import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *command.split()], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: magnitude ") and "exceeds 2^52" in done.stderr
+
+
+def test_order_one_values_answer_past_the_float_sum(capsys):
+    # f(n) itself needs no kernel step at any magnitude.
+    code, out, _ = run_cli(capsys, "expect", "--n", str(10**20), "--r", "1", "--mode", "float")
+    assert code == 0 and parse_csv(out)[0]["value_decimal"] == "1e+20"
 
 
 @pytest.mark.parametrize(

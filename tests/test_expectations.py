@@ -729,7 +729,7 @@ def test_float_entries_that_leave_the_sum_have_the_tables_bits():
 def test_kernel_only_observables_keep_the_kernel(engine):
     # Observables that divide by a variable are not polynomials: they answer
     # as the oracle does (0/0 = 0, and a raise where some tree divides a
-    # nonzero value by zero) and never build a series.
+    # nonzero value by zero) and never build a Newton form.
     fresh = ExpectationEngine()
     for text in ("S1/S1", "1/S1", "S1^2/S1", "1/(1/S1)"):
         f = parse(text)
@@ -743,32 +743,31 @@ def test_kernel_only_observables_keep_the_kernel(engine):
                         fresh.expectation_exact(n, r, f)
                     continue
                 assert fresh.expectation_exact(n, r, f) == expected, (text, r, n)
-    # Past the oracle, where the series pays for S1: S1^2/S1 is S1, and S1/S1
-    # the indicator of S_r >= 1.
+    # Past the oracle, where the t-sum answers for S1: S1^2/S1 is S1, and
+    # S1/S1 the indicator of S_r >= 1.
     mean = engine.expectation_exact(300, 3, S1)
     assert fresh.expectation_exact(300, 3, parse("S1^2/S1")) == mean
     assert fresh.expectation_exact(300, 3, parse("S1/S1")) == 1 - engine.distribution(300, 3)[0]
-    assert fresh._series == {}
+    assert fresh._newtons == {}
 
 
 def test_the_series_reads_no_kernel_table():
-    # The series of a polynomial follows from its values at order 1.
+    # The t-sum of a polynomial follows from its values at 0..K.
     engine = ExpectationEngine()
     kernel = ExpectationEngine()._expect(_EXACT, 300, 4, S1)
     assert engine.expectation_exact(300, 4, S1) == Fraction(kernel, comb.catalan(299))
-    assert list(engine._series) == [(S1, 4)] and engine._tables == {}
+    assert engine._tables == {}
 
 
 def test_cancelled_forms_route_by_their_split():
-    # S1/(S1-S1+1) is the polynomial S1 and takes the series; 0*S1 is the
-    # zero polynomial and answers as a constant, with no table and no series.
+    # S1/(S1-S1+1) is the polynomial S1 and takes the t-sum; 0*S1 is the
+    # zero polynomial and answers as a constant; neither builds a table.
     engine = ExpectationEngine()
     mean = ExpectationEngine().expectation_exact(300, 4, S1)
     assert engine.expectation_exact(300, 4, parse("S1/(S1-S1+1)")) == mean
-    assert list(engine._series) == [(parse("S1/(S1-S1+1)"), 4)]
     for text in ("0*S1", "S1-S1"):
         assert engine.expectation_exact(300, 4, parse(text)) == 0
-    assert len(engine._series) == 1 and engine._tables == {}
+    assert engine._tables == {}
 
 
 SPLIT = ("S2/S1", "S1*S2-S3", "S1+2*S2", "(S1-1)*S2^2/(2*S1)", "S1*S2*S3",
