@@ -233,20 +233,13 @@ def _weight_block(a: int, b: int, width: int, flat: np.ndarray):
     np.copyto(logs, 0.0, where=np.logical_not(kept, out=kept))
 
 
-def order2_weights(n: int, mode: str = "exact") -> dict[int, Fraction] | dict[int, float]:
-    """Weight table m -> w(n, m) over 1 <= m <= n//2.
-
-    mode="exact" returns Fractions that sum to exactly 1; mode="float"
-    returns floats computed in the log domain.
-    """
+def order2_weights(n: int) -> dict[int, Fraction]:
+    """Weight table m -> w(n, m) over 1 <= m <= n//2, as Fractions that sum
+    to exactly 1; ``float_weight_row`` is the float row."""
     if n < 2:
         raise ValueError(f"order2_weights requires n >= 2, got n={n}")
-    if mode == "exact":
-        total = catalan(n - 1)
-        return {
-            m: Fraction(multiplicity(n, m) * catalan(m - 1), total)
-            for m in range(1, n // 2 + 1)
-        }
-    if mode == "float":
-        return dict(enumerate(float_weight_row(n)[1:].tolist(), start=1))
-    raise ValueError(f"unknown weight mode {mode!r}")
+    total = catalan(n - 1)
+    return {
+        m: Fraction(multiplicity(n, m) * catalan(m - 1), total)
+        for m in range(1, n // 2 + 1)
+    }

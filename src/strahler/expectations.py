@@ -82,14 +82,13 @@ hold multiplicity(n, m) and its values are T(n) = c_{n-1} V(n), integers
 whenever f is integer-valued, divided by c_{n-1} once per answer or table.
 Float mode uses the log-gamma rows w(n, m) and carries a first-order
 absolute error bound alongside every value. Every table fill is one
-``steps`` sweep over its range, which at order 1 of a split f serves every
-part: a row and a dot per entry and table when exact, and in float mode, as
-for a pushed law, one matrix product per table and block of a fixed
-partition of the magnitudes (``comb.float_weight_blocks``) at the block's
-full shape, each row or block built once, and only if some table the sweep
-steps over is not a Newton form. A query's own entry (``step``) is that
-sweep over its magnitude alone, except a float entry over a table: one
-row's dot, settled as a block's rows are.
+``steps`` sweep over its range and the one level it steps over, a table or
+a Newton form, and at order 1 of a split f one such sweep per part. Over a
+table it is a row and a dot per entry when exact, and in float mode, as for
+a pushed law, one matrix product per block of a fixed partition of the
+magnitudes (``comb.float_weight_blocks``) at the block's full shape. A
+query's own entry (``step``) is that sweep over its magnitude alone, except
+a float entry over a table: one row's dot, settled as a block's rows are.
 
 The levels below a query are kept in tables over magnitudes 0..top, one per
 key (mode, observable, level); the observable, a part of one or one
@@ -324,7 +323,7 @@ class _Arithmetic(NamedTuple):
     leaves: Callable  # scaled observable values -> table rows
     pack: Callable  # table entries -> table rows
     step: Callable  # (n, level below) -> table entry K(n, .) . (level below)
-    steps: Callable  # (lo, hi, tables below) -> per table, its rows of n = lo..hi >= 2
+    steps: Callable  # (lo, hi, level below) -> the rows of n = lo..hi >= 2
     push: Callable  # law -> the law one forward kernel step later
     combine: Callable  # (weights, scale, entries) -> sum of weights * entries / scale
     divide: Callable  # (count, normaliser) -> answer
@@ -424,13 +423,13 @@ class ExpectationEngine:
         fresh = [arith.leaves(values)]
         start = max(done, last_leaf + 1)
         if start <= top and j > 1:
-            fresh.append(arith.steps(start, top, [below])[0])
+            fresh.append(arith.steps(start, top, below))
         elif start <= top:
-            # Order 1 of a several-variable f: one sweep over the range steps
-            # every part, combined magnitude by magnitude. A part's rows turn
-            # into Python values one magnitude at a time, so a fill never
-            # holds all of them as lists.
-            parts = arith.steps(start, top, below) if below else []
+            # Order 1 of a several-variable f: one sweep over the range per
+            # part, combined magnitude by magnitude. A part's rows turn into
+            # Python values one magnitude at a time, so a fill never holds
+            # all of them as lists.
+            parts = [arith.steps(start, top, part) for part in below or ()]
             fresh.append(arith.pack([
                 self._first(arith, f, n, [part[i : i + 1].tolist()[0] for part in parts])
                 for i, n in enumerate(range(start, top + 1))
@@ -632,24 +631,17 @@ def _float_combine(weights: list, scale: int, entries: list) -> tuple:
     return total, abs(total), error + mass * (len(entries) + 2) * _EPS
 
 
-def _exact_step(n: int, below):
-    """K(n, .) . below: the sweep ``_exact_steps`` over magnitude n alone."""
-    return _exact_steps(n, n, [below])[0][0]
-
-
-def _exact_steps(lo: int, hi: int, tables: list) -> list:
-    """Per table, the rows multiplicity(n, .) . table of n = lo..hi >= 2,
-    the multiplicities of each n walked once for every table
-    (``comb.scaled_multiplicities(n, 1)``), and walked only if some table
-    is not a Newton form, which counts without them."""
-    steps = [[] for _ in tables]
-    rows_needed = not all(isinstance(below, _Newton) for below in tables)
-    for n in range(lo, hi + 1):
-        row = comb.scaled_multiplicities(n, 1) if rows_needed else None
-        for below, rows in zip(tables, steps):
-            rows.append(below.count(n) if isinstance(below, _Newton)
-                        else sum(map(operator.mul, row, below[: n // 2 + 1])))
-    return [np.array(rows, dtype=object) for rows in steps]
+def _exact_steps(lo: int, hi: int, below) -> np.ndarray:
+    """The rows multiplicity(n, .) . below of n = lo..hi >= 2: over a table,
+    its dot with the multiplicities of n walked once
+    (``comb.scaled_multiplicities(n, 1)``); over a Newton form, its counts
+    (``_Newton.count``), which walk none."""
+    if isinstance(below, _Newton):
+        rows = [below.count(n) for n in range(lo, hi + 1)]
+    else:
+        rows = [sum(map(operator.mul, comb.scaled_multiplicities(n, 1), below[: n // 2 + 1]))
+                for n in range(lo, hi + 1)]
+    return np.array(rows, dtype=object)
 
 
 def _exact_push(law: list) -> list:
@@ -679,9 +671,9 @@ def _float_settle(ns: np.ndarray, dots: np.ndarray) -> np.ndarray:
 def _float_step(n: int, below) -> tuple:
     """The entry w(n, .) @ below of one magnitude, by one row's dot, settled
     as a block's rows are; over a Newton form, the fill's entry at n
-    (``_float_sum``), so an entry that leaves the sum has a table's bits."""
+    (``_float_steps``), so an entry that leaves the sum has a table's bits."""
     if isinstance(below, _Newton):
-        return tuple(_float_sum(n, n, below)[0].tolist())
+        return tuple(_float_steps(n, n, below)[0].tolist())
     total, mass, error = (comb.float_weight_row(n) @ below[: n // 2 + 1]).tolist()
     return total, abs(total), error + mass * float(_step_error(n))
 
@@ -716,41 +708,30 @@ def _weight_error(n):
     return 8 * _EPS * np.maximum(1.0, 2 * n * np.log1p(2 * n))
 
 
-def _float_steps(lo: int, hi: int, tables: list) -> list:
-    """Per table, the rows w(n, .) @ table of n = lo..hi >= 2: one matrix
-    product per weight block (``comb.float_weight_blocks``), each block built
-    once for every table, taken at the block's full shape over the table
-    zero-padded to the block's width, and built only if some table is not
-    a Newton form, whose rows are its sum (``_float_sum``). The product's
-    summation order depends on its shape alone, so an entry has the same
-    bits whatever range, and whichever other tables, a sweep fills."""
-    steps = [[_float_sum(lo, hi, below)] if isinstance(below, _Newton) else []
-             for below in tables]
-    kernel = [(below, fresh) for below, fresh in zip(tables, steps)
-              if not isinstance(below, _Newton)]
-    for a, block in comb.float_weight_blocks(lo, hi) if kernel else ():
+def _float_steps(lo: int, hi: int, below) -> np.ndarray:
+    """The rows w(n, .) @ below of n = lo..hi >= 2. Over a table: one matrix
+    product per weight block (``comb.float_weight_blocks``), taken at the
+    block's full shape over the table zero-padded to the block's width. The
+    product's summation order depends on its shape alone, so an entry has
+    the same bits whatever range a sweep fills. Over a Newton form: its
+    float sums (``_Newton.float_rows``), and where a sum is NaN, the block
+    product over the form's level-1 table, with those same bits."""
+    if isinstance(below, _Newton):
+        rows = below.float_rows(np.arange(lo, hi + 1))
+        left = np.flatnonzero(np.isnan(rows[:, 0]))
+        if len(left):
+            first, last = lo + int(left[0]), lo + int(left[-1])
+            rows[left] = _float_steps(first, last, below.kernel(last // 2))[left - left[0]]
+        return rows
+    fresh = []
+    for a, block in comb.float_weight_blocks(lo, hi):
         rows, width = block.shape
         first, last = max(lo, a), min(hi, a + rows - 1)
-        ns = np.arange(first, last + 1)
-        for below, fresh in kernel:
-            padded = np.zeros((width, 3))
-            padded[: last // 2 + 1] = below[: last // 2 + 1]
-            fresh.append(_float_settle(ns, (block @ padded)[first - a : last - a + 1]))
-    return [np.concatenate(fresh) for fresh in steps]
-
-
-def _float_sum(lo: int, hi: int, newton: _Newton) -> np.ndarray:
-    """The rows of n = lo..hi >= 2 over a Newton form: its float sums
-    (``_Newton.float_rows``), and where a sum is NaN, the block product over
-    the form's level-1 table (``_float_steps``), which has the bits it has
-    in any sweep."""
-    rows = newton.float_rows(np.arange(lo, hi + 1))
-    left = np.flatnonzero(np.isnan(rows[:, 0]))
-    if len(left):
-        first, last = lo + int(left[0]), lo + int(left[-1])
-        kernel = _float_steps(first, last, [newton.kernel(last // 2)])[0]
-        rows[left] = kernel[left - left[0]]
-    return rows
+        padded = np.zeros((width, 3))
+        padded[: last // 2 + 1] = below[: last // 2 + 1]
+        dots = (block @ padded)[first - a : last - a + 1]
+        fresh.append(_float_settle(np.arange(first, last + 1), dots))
+    return np.concatenate(fresh)
 
 
 def _float_push(law: list) -> list:
@@ -775,7 +756,8 @@ _EXACT = _Arithmetic(
     "exact", lambda m: comb.catalan(max(m - 1, 0)),
     lambda values: np.array([_integral(v) for v in values], dtype=object),
     lambda entries: np.array(entries, dtype=object),
-    _exact_step, _exact_steps, _exact_push, _exact_combine, Fraction,
+    lambda n, below: _exact_steps(n, n, below)[0], _exact_steps, _exact_push,
+    _exact_combine, Fraction,
 )
 _FLOAT = _Arithmetic(
     "float", lambda m: 1, _float_leaves,

@@ -622,7 +622,7 @@ def test_cli_imports_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_neither_split_nor_gf():
+def test_cli_import_does_not_load_the_split():
     # The split loads on an engine's first use; importing the CLI does not
     # compile it, which keeps start-up flat where no bytecode is written.
     script = (
@@ -639,7 +639,7 @@ def test_cli_import_loads_neither_split_nor_gf():
     assert done.stdout.strip() == "[]"
 
 
-def test_setup_query_loads_no_series():
+def test_setup_query_does_not_load_the_split():
     # expect --n 12 --r 2 takes the marked-cherry sum, which reads the
     # degree of S1 off the observable itself and does not load the split.
     script = (
@@ -717,9 +717,8 @@ def test_order_two_outputs_are_pinned(capsys, command):
     assert _sha256(out) == ORDER_TWO_PINS[command]
 
 
-# SHA-256 of stdout, recorded while exact answers at base order r >= 3 came
-# from the kernel and the generating-function series, before they became
-# the t-sum over f's Newton form.
+# SHA-256 of stdout, recorded before exact answers at base order r >= 3
+# became the t-sum over f's Newton form.
 HIGHER_ORDER_PINS = {
     "expect --r 3 --f S1 --mode exact --max-n 1000 --n-grid 100,200,300,400,500,600":
         "ebff854bee184de2d2bffb70c95ca5c1756e4db1118e386fcae1705d290c3b1b",

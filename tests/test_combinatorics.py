@@ -87,10 +87,9 @@ def test_exact_weights_sum_to_one():
 
 def test_float_weights_match_exact():
     for n in (2, 3, 10, 50, 150, 300):
-        exact = comb.order2_weights(n, "exact")
-        approx = comb.order2_weights(n, "float")
-        for m, w in exact.items():
-            assert math.isclose(approx[m], float(w), rel_tol=1e-10)
+        approx = comb.float_weight_row(n)[1:].tolist()
+        for m, w in comb.order2_weights(n).items():
+            assert math.isclose(approx[m - 1], float(w), rel_tol=1e-10)
 
 
 def test_float_weight_row_within_the_engines_weight_error():
@@ -187,7 +186,5 @@ def test_cold_log_tables_cover_the_blocks_width(monkeypatch):
 
 
 def test_weight_mode_validation():
-    with pytest.raises(ValueError):
-        comb.order2_weights(10, "bogus")
     with pytest.raises(ValueError):
         comb.order2_weights(1)

@@ -58,3 +58,21 @@ def test_cited_code_names_exist():
                 stale.append((where, match[0]))
     assert texts > 100
     assert stale == []
+
+
+def test_cited_tests_exist():
+    # A test that the README or the ROADMAP cites as tests/<file>.py::<name>
+    # names a file that exists and a function defined in it.
+    stale, cited = [], 0
+    for doc in ("README.md", "ROADMAP.md"):
+        for path, name in re.findall(r"\b(tests/\w+\.py)::(\w+)", (ROOT / doc).read_text()):
+            cited += 1
+            file = ROOT / path
+            defined = file.is_file() and any(
+                isinstance(node, ast.FunctionDef) and node.name == name
+                for node in ast.walk(ast.parse(file.read_text()))
+            )
+            if not defined:
+                stale.append((doc, path, name))
+    assert cited
+    assert stale == []

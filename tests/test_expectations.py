@@ -54,7 +54,7 @@ def _fraction_expectation(n, r, f, memo):
             sub_order = 1 if r == 1 else r - 1
             value = sum(
                 w * _fraction_expectation(m, sub_order, g, memo)
-                for m, w in comb.order2_weights(n, "exact").items()
+                for m, w in comb.order2_weights(n).items()
             )
         memo[key] = value
     return memo[key]
@@ -70,7 +70,7 @@ def _fraction_distribution(n, r, memo):
             table = {0: Fraction(1)}
         else:
             table = {}
-            for m, w in comb.order2_weights(n, "exact").items():
+            for m, w in comb.order2_weights(n).items():
                 for s, p in _fraction_distribution(m, r - 1, memo).items():
                     table[s] = table.get(s, 0) + w * p
         memo[key] = table
@@ -237,7 +237,7 @@ def test_float_tables_and_laws_equal_the_block_product():
     f = parse("S1^40")
     table = ExpectationEngine()._level(_FLOAT, f, 2, 500)
     level_1 = _float_leaves([0] + [f.evaluate((n,)) for n in range(1, 100)])
-    kernel = _float_steps(2, 199, [level_1])[0]
+    kernel = _float_steps(2, 199, level_1)
     sums = _Newton.of(f, 40).float_rows(np.arange(200, 501))
     assert _bits(table[2:]) == _bits(np.concatenate([kernel, sums]))
 
@@ -372,16 +372,10 @@ def test_split_order_1_fills_take_the_block_step(monkeypatch):
     assert calls == [3000]
 
 
-def test_split_order_1_fills_build_each_block_once(monkeypatch):
-    # One sweep steps every part of a split f over a fill range, so a cold
-    # query builds each weight block, or each exact row, of a fill once. The
-    # part S1 is a one-variable polynomial, whose order-2 entries are the
-    # marked-cherry sum in both modes: the part S2's order-1 table to n // 4
-    # (its one part S1) builds no block or row, and the order-1 table of f
-    # to n // 2 builds its blocks or rows for the part S2 alone, and so
-    # does the query's own entry. The float tables have the bits of one
-    # sweep per part.
-    f = parse("S1*S2-S3")
+def _count_fill_builds(monkeypatch, f):
+    """The weight blocks (a, b) and the exact rows n that cold queries of f
+    build: in float mode at n = 4000, in exact mode at n = 300, both at
+    r = 2; and the float engine."""
     built, rows = [], []
     weight_block, scaled_multiplicities = comb._weight_block, comb.scaled_multiplicities
 
@@ -393,29 +387,73 @@ def test_split_order_1_fills_build_each_block_once(monkeypatch):
         rows.append(n)
         return scaled_multiplicities(n, x)
 
-    expected = [
-        (max(2, a), min(2000, a + len(block) - 1))
-        for a, block in comb.float_weight_blocks(2, 2000)
-    ]
     engine = ExpectationEngine()
     with monkeypatch.context() as patch:
         patch.setattr(comb, "_weight_block", counting_block)
         patch.setattr(comb, "scaled_multiplicities", counting_row)
         engine.expectation_float(4000, 2, f)
         ExpectationEngine().expectation_exact(300, 2, f)
-    assert built == expected + [(4000, 4000)]
-    assert rows == [*range(2, 151), 300]
+    return built, rows, engine
 
+
+def _assert_fill_is_one_sweep_per_part(engine, f):
+    """The float order-1 table of f to 2000 has the bits of each part's own
+    sweep, combined magnitude by magnitude."""
     split_f = engine._split(f)
     per_part = [
-        _float_steps(2, 2000, [engine._below(_FLOAT, part, 2, 2000)])[0]
+        _float_steps(2, 2000, engine._below(_FLOAT, part, 2, 2000))
         for part in split_f.parts
     ]
     combined = [
         _float_combine(*split_f.weights(n), [part[n - 2].tolist() for part in per_part])
         for n in range(2, 2001)
     ]
-    assert _bits(engine._tables[_FLOAT, f, 1][2:]) == _bits(np.array(combined))
+    assert _bits(engine._tables[_FLOAT, f, 1][2:]) == _bits(np.array(combined)), f.text
+
+
+def _fill_blocks(top):
+    """The weight blocks (a, b) a float fill over magnitudes 2..top builds."""
+    return [(max(2, a), min(top, a + len(block) - 1))
+            for a, block in comb.float_weight_blocks(2, top)]
+
+
+def test_split_order_1_fills_build_each_block_once(monkeypatch):
+    # A fill sweeps each part of a split f over its range. The part S1 is a
+    # one-variable polynomial, whose order-2 entries are the marked-cherry
+    # sum in both modes: the part S2's order-1 table to n // 4 (its one part
+    # S1) builds no block or row, and the order-1 table of f to n // 2
+    # builds its blocks or rows for the part S2 alone, and so does the
+    # query's own entry. So a cold query builds each weight block, or each
+    # exact row, of a fill once.
+    f = parse("S1*S2-S3")
+    built, rows, engine = _count_fill_builds(monkeypatch, f)
+    assert built == _fill_blocks(2000) + [(4000, 4000)]
+    assert rows == [*range(2, 151), 300]
+    _assert_fill_is_one_sweep_per_part(engine, f)
+
+
+@pytest.mark.parametrize("text", ["S1*S3+S4", "S1^2*S3-S2*S4"])
+def test_split_order_1_fills_sweep_each_table_part(monkeypatch, engine, text):
+    # Both parts of these step over tables, so the order-1 table of f to
+    # n // 2 builds each block or row once per part. One part (S3, or
+    # S1*S3) splits again into a part S2 that steps over a table, so its
+    # order-1 table to n // 4 builds them once more; S2's own order-1 table
+    # steps over the Newton form of its one part S1 and builds none.
+    f = parse(text)
+    assert len(engine._split(f).parts) == 2
+    built, rows, float_engine = _count_fill_builds(monkeypatch, f)
+    assert built == _fill_blocks(1000) + _fill_blocks(2000) * 2 + [(4000, 4000)]
+    assert sorted(rows) == sorted([*range(2, 76)] + [*range(2, 151)] * 2 + [300])
+    _assert_fill_is_one_sweep_per_part(float_engine, f)
+
+    fresh = ExpectationEngine()
+    for r in (1, 2, 3):
+        for n in range(1, 13):
+            expected = engine.expectation_bruteforce(n, r, f)
+            assert fresh.expectation_exact(n, r, f) == expected, (text, r, n)
+    queries = [(200, r) for r in (1, 2, 3)]
+    answers = [fresh.expectation_exact(n, r, f) for n, r in queries]
+    assert answers == _bound_answers(monkeypatch, f, queries), text
 
 
 def test_float_fills_and_pushes_peak_within_a_few_blocks():
@@ -702,7 +740,7 @@ def test_float_sums_leave_to_the_kernel_where_it_answers_better(monkeypatch):
     assert engine.expectation_float(2000, 2, f) == ExpectationEngine().expectation_float(
         2000, 2, f
     )
-    value, _mass, error = _float_steps(2000, 2000, [level_1])[0][0].tolist()
+    value, _mass, error = _float_steps(2000, 2000, level_1)[0].tolist()
     assert engine.expectation_float(2000, 2, f) == (value, error / abs(value))
     with pytest.raises(OverflowError):
         ExpectationEngine().expectation_float(2000, 2, parse("S1^120"))
@@ -751,7 +789,7 @@ def test_kernel_only_observables_keep_the_kernel(engine):
     assert fresh._newtons == {}
 
 
-def test_the_series_reads_no_kernel_table():
+def test_the_t_sum_reads_no_kernel_table():
     # The t-sum of a polynomial follows from its values at 0..K.
     engine = ExpectationEngine()
     kernel = ExpectationEngine()._expect(_EXACT, 300, 4, S1)

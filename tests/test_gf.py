@@ -52,28 +52,28 @@ def _degree(f):
     return f.degree()
 
 
-def _series(n, r, f):
+def _t_sum(n, r, f):
     """E_n[f at base r] by the t-sum over f's Newton form, at any degree."""
     return _Newton.of(f, _degree(f)).t_sum(n, r)
 
 
-def test_series_equals_kernel_to_300():
+def test_t_sum_equals_kernel_to_300():
     for text in POLYNOMIALS:
         f = parse(text)
         tables = _loop_tables(f, 10, 300)
         for n in range(1, 301):
             for r in range(2, n.bit_length() + 2):
                 kernel = Fraction(tables[r - 1][n], comb.catalan(n - 1))
-                assert _series(n, r, f) == kernel, (text, r, n)
+                assert _t_sum(n, r, f) == kernel, (text, r, n)
 
 
-def test_series_equals_oracle_to_40():
+def test_t_sum_equals_oracle_to_40():
     engine = ExpectationEngine()
     for text in POLYNOMIALS:
         f = parse(text)
         for n in range(1, 41):
             for r in range(2, n.bit_length() + 2):
-                assert _series(n, r, f) == engine.expectation_bruteforce(n, r, f), (
+                assert _t_sum(n, r, f) == engine.expectation_bruteforce(n, r, f), (
                     text, r, n,
                 )
 
@@ -84,7 +84,7 @@ def test_t_sum_at_order_one_is_the_observable():
     for text in POLYNOMIALS:
         f = parse(text)
         for n in range(1, 301):
-            assert _series(n, 1, f) == f.evaluate((n,)), (text, n)
+            assert _t_sum(n, 1, f) == f.evaluate((n,)), (text, n)
 
 
 _COEFF = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -96,7 +96,7 @@ _COEFF = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     n=st.integers(1, 200),
     r=st.integers(2, 5),
 )
-def test_series_equals_kernel_on_random_polynomials(coeffs, n, r):
+def test_t_sum_equals_kernel_on_random_polynomials(coeffs, n, r):
     text = "0" + "".join(
         f"{'-' if c < 0 else '+'}{abs(c.numerator)}/{c.denominator}*S1^{i}"
         for i, c in enumerate(coeffs)
@@ -105,7 +105,7 @@ def test_series_equals_kernel_on_random_polynomials(coeffs, n, r):
     assert _degree(f) == max((i for i, c in enumerate(coeffs) if c), default=0)
     expected = _kernel(n, r, f)
     assert expected == sum(c * _kernel(n, r, parse(f"S1^{i}")) for i, c in enumerate(coeffs))
-    assert _series(n, r, f) == expected
+    assert _t_sum(n, r, f) == expected
     assert ExpectationEngine(exact_limit=200).expectation_exact(n, r, f) == expected
 
 
